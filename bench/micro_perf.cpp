@@ -70,6 +70,16 @@ void BM_PufEmulate(benchmark::State& state) {
 }
 BENCHMARK(BM_PufEmulate);
 
+void BM_PufDeviceConstruct(benchmark::State& state) {
+  // Enrolling a chip: everything but the die itself is shared per shape.
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const alupuf::PufDevice device(puf32(), ++seed, rm5());
+    benchmark::DoNotOptimize(&device);
+  }
+}
+BENCHMARK(BM_PufDeviceConstruct);
+
 void BM_RmSoftDecode(benchmark::State& state) {
   support::Xoshiro256pp rng(5);
   std::vector<double> llr(32);
@@ -168,6 +178,28 @@ void BM_FullAttestationRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullAttestationRoundTrip);
+
+void BM_VerifierColdBuild(benchmark::State& state) {
+  // What an emulator-cache miss costs before its verdict: the Verifier
+  // constructor plus the first verify on its cold emulator.
+  auto profile = core::DeviceProfile::standard();
+  profile.swat.rounds = 512;
+  profile.swat.attest_words = 1024;
+  profile.layout = swat::SwatLayout::standard(profile.swat);
+  const alupuf::PufDevice device(profile.puf_config, 8, rm5());
+  const auto record = core::enroll(
+      device, profile,
+      core::make_enrolled_image(profile, std::vector<std::uint32_t>(500, 3)));
+  core::CpuProver prover(device, record, core::CpuProver::Variant::kHonest, 9);
+  support::Xoshiro256pp rng(10);
+  const auto request = core::Verifier(record, rm5()).make_request(rng);
+  const auto outcome = prover.respond(request);
+  for (auto _ : state) {
+    const core::Verifier verifier(record, rm5());
+    benchmark::DoNotOptimize(verifier.verify(request, outcome.response, 0.0));
+  }
+}
+BENCHMARK(BM_VerifierColdBuild);
 
 void BM_TimingSimScalarRun(benchmark::State& state) {
   const auto circuit = netlist::build_alu_puf_circuit(32);

@@ -1,7 +1,10 @@
 #include "alupuf/alu_puf.hpp"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <tuple>
 
 #include "obs/trace.hpp"
 
@@ -31,13 +34,30 @@ support::Xoshiro256pp lane_rng(std::uint64_t batch_seed, std::size_t lane) {
 
 }  // namespace
 
+AluPufTopology::AluPufTopology(std::size_t width,
+                               const netlist::AluPufLayout& layout)
+    : circuit(netlist::build_alu_puf_circuit(width, layout)),
+      sim(circuit.net),
+      cone_sim(circuit.net, raced_gates(circuit)),
+      lane_slice(cone_sim.compiled()) {}
+
+std::shared_ptr<const AluPufTopology> AluPufTopology::shared(
+    std::size_t width, const netlist::AluPufLayout& layout) {
+  using Key = std::tuple<std::size_t, double, double, double>;
+  static std::mutex mutex;
+  static std::map<Key, std::shared_ptr<const AluPufTopology>> table;
+  const Key key{width, layout.alu_separation, layout.origin_x,
+                layout.origin_y};
+  std::lock_guard<std::mutex> lock(mutex);
+  auto& entry = table[key];
+  if (!entry) entry.reset(new AluPufTopology(width, layout));
+  return entry;
+}
+
 AluPuf::AluPuf(const AluPufConfig& config, std::uint64_t chip_seed)
     : config_(config),
-      circuit_(netlist::build_alu_puf_circuit(config.width, config.layout)),
-      chip_(circuit_.net, config.tech, config.quadtree, chip_seed),
-      sim_(circuit_.net),
-      batch_sim_(circuit_.net, raced_gates(circuit_)),
-      slice_sim_(batch_sim_.compiled()),
+      topology_(AluPufTopology::shared(config.width, config.layout)),
+      chip_(topology_->circuit.net, config.tech, config.quadtree, chip_seed),
       arbiter_(config.arbiter) {}
 
 void AluPuf::check_challenge(const Challenge& challenge) const {
@@ -63,14 +83,15 @@ RawResponse AluPuf::eval(const Challenge& challenge,
   check_challenge(challenge);
   const auto& nominal = nominal_for(env);
   chip_.sample_delays(nominal, config_.noise, rng, scratch_delays_);
-  sim_.run(challenge, scratch_delays_, scratch_states_);
+  const AluPufTopology& topo = *topology_;
+  topo.sim.run(challenge, scratch_delays_, scratch_states_);
 
   RawResponse response(config_.width);
   const double deadline =
       clock != nullptr ? clock->cycle_ps - clock->setup_ps : 0.0;
   for (std::size_t i = 0; i < config_.width; ++i) {
-    const double t0 = scratch_states_[circuit_.race0[i]].time_ps;
-    const double t1 = scratch_states_[circuit_.race1[i]].time_ps;
+    const double t0 = scratch_states_[topo.circuit.race0[i]].time_ps;
+    const double t1 = scratch_states_[topo.circuit.race1[i]].time_ps;
     if (clock != nullptr && std::min(t0, t1) > deadline) {
       // Neither transition reached the arbiter before the capture edge:
       // the register samples a signal mid-flight and resolves metastably —
@@ -120,6 +141,8 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
 
   AluPufBatchScratch& ws = scratch != nullptr ? *scratch : batch_scratch_;
   const auto& nominal = nominal_for(env);
+  const AluPufTopology& topo = *topology_;
+  const auto& circuit = topo.circuit;
 
   // Per-lane noisy delay realization: each lane's derived generator feeds
   // the batched ziggurat fill (one deviate per gate, gate order) and stays
@@ -141,7 +164,7 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
     case BatchEngine::kBitslice:
       timingsim::pack_input_words(challenges, count, challenge_bits(),
                                   ws.input_words);
-      slice_sim_.run(ws.input_words.data(), count, ws.delays, ws.slice);
+      topo.lane_slice.run(ws.input_words.data(), count, ws.delays, ws.slice);
       break;
     case BatchEngine::kScalar: {
       // One cone-restricted scalar run per lane, each with its own column
@@ -149,7 +172,7 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
       // must stay safe under the same thread-sharing rules as the others.
       scalar_t0.resize(count * config_.width);
       scalar_t1.resize(count * config_.width);
-      const std::size_t gates = circuit_.net.num_gates();
+      const std::size_t gates = circuit.net.num_gates();
       timingsim::DelaySet lane_delays;
       lane_delays.rise_ps.resize(gates);
       lane_delays.fall_ps.resize(gates);
@@ -159,10 +182,10 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
           lane_delays.rise_ps[g] = ws.delays.rise_ps[g * count + x];
           lane_delays.fall_ps[g] = ws.delays.fall_ps[g * count + x];
         }
-        batch_sim_.run(challenges[x], lane_delays, states);
+        topo.cone_sim.run(challenges[x], lane_delays, states);
         for (std::size_t i = 0; i < config_.width; ++i) {
-          scalar_t0[x * config_.width + i] = states[circuit_.race0[i]].time_ps;
-          scalar_t1[x * config_.width + i] = states[circuit_.race1[i]].time_ps;
+          scalar_t0[x * config_.width + i] = states[circuit.race0[i]].time_ps;
+          scalar_t1[x * config_.width + i] = states[circuit.race1[i]].time_ps;
         }
       }
       break;
@@ -170,7 +193,7 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
     default:
       timingsim::pack_input_lanes(challenges, count, challenge_bits(),
                                   ws.inputs);
-      batch_sim_.run_batch(ws.inputs.data(), count, ws.delays, ws.state);
+      topo.cone_sim.run_batch(ws.inputs.data(), count, ws.delays, ws.state);
       break;
   }
 
@@ -183,14 +206,14 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
     for (std::size_t i = 0; i < config_.width; ++i) {
       double t0, t1;
       if (engine == BatchEngine::kBitslice) {
-        t0 = slice_sim_.time_ps(ws.slice, circuit_.race0[i], x);
-        t1 = slice_sim_.time_ps(ws.slice, circuit_.race1[i], x);
+        t0 = topo.lane_slice.time_ps(ws.slice, circuit.race0[i], x);
+        t1 = topo.lane_slice.time_ps(ws.slice, circuit.race1[i], x);
       } else if (engine == BatchEngine::kScalar) {
         t0 = scalar_t0[x * config_.width + i];
         t1 = scalar_t1[x * config_.width + i];
       } else {
-        t0 = ws.state.time_ps(circuit_.race0[i], x);
-        t1 = ws.state.time_ps(circuit_.race1[i], x);
+        t0 = ws.state.time_ps(circuit.race0[i], x);
+        t1 = ws.state.time_ps(circuit.race1[i], x);
       }
       if (clock != nullptr && std::min(t0, t1) > deadline) {
         response.set(i, lrng.bernoulli(0.5));
@@ -207,11 +230,12 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
 std::vector<double> AluPuf::race_deltas(const Challenge& challenge,
                                         const variation::Environment& env) const {
   check_challenge(challenge);
-  sim_.run(challenge, nominal_for(env), scratch_states_);
+  const AluPufTopology& topo = *topology_;
+  topo.sim.run(challenge, nominal_for(env), scratch_states_);
   std::vector<double> deltas(config_.width);
   for (std::size_t i = 0; i < config_.width; ++i) {
-    deltas[i] = scratch_states_[circuit_.race1[i]].time_ps -
-                scratch_states_[circuit_.race0[i]].time_ps;
+    deltas[i] = scratch_states_[topo.circuit.race1[i]].time_ps -
+                scratch_states_[topo.circuit.race0[i]].time_ps;
   }
   return deltas;
 }
@@ -221,11 +245,12 @@ double AluPuf::max_settle_ps(const variation::Environment& env) const {
   Challenge challenge(challenge_bits());
   for (std::size_t i = 0; i < config_.width; ++i) challenge.set(i, true);
   challenge.set(config_.width, true);
-  sim_.run(challenge, nominal_for(env), scratch_states_);
+  const AluPufTopology& topo = *topology_;
+  topo.sim.run(challenge, nominal_for(env), scratch_states_);
   double worst = 0.0;
   for (std::size_t i = 0; i < config_.width; ++i) {
-    worst = std::max({worst, scratch_states_[circuit_.race0[i]].time_ps,
-                      scratch_states_[circuit_.race1[i]].time_ps});
+    worst = std::max({worst, scratch_states_[topo.circuit.race0[i]].time_ps,
+                      scratch_states_[topo.circuit.race1[i]].time_ps});
   }
   return worst;
 }
@@ -242,8 +267,9 @@ void AluPuf::apply_stage_stress(std::size_t bit, bool alu1, double duty,
   if (bit >= config_.width) {
     throw std::invalid_argument("apply_stage_stress: bit out of range");
   }
+  const auto& circuit = topology_->circuit;
   const auto& stage =
-      alu1 ? circuit_.stage_gates1[bit] : circuit_.stage_gates0[bit];
+      alu1 ? circuit.stage_gates1[bit] : circuit.stage_gates0[bit];
   for (const auto gate : stage) {
     chip_.apply_stress(gate, duty, hours, params);
   }
@@ -253,11 +279,9 @@ void AluPuf::apply_stage_stress(std::size_t bit, bool alu1, double duty,
 AluPufEmulator::AluPufEmulator(std::size_t width, variation::DelayTable model,
                                netlist::AluPufLayout layout)
     : width_(width),
-      circuit_(netlist::build_alu_puf_circuit(width, layout)),
-      model_(std::move(model)),
-      sim_(circuit_.net),
-      batch_sim_(circuit_.net, raced_gates(circuit_)) {
-  if (model_.intrinsic_ps.size() != circuit_.net.num_gates()) {
+      topology_(AluPufTopology::shared(width, layout)),
+      model_(std::move(model)) {
+  if (model_.intrinsic_ps.size() != topology_->circuit.net.num_gates()) {
     throw std::invalid_argument(
         "AluPufEmulator: delay table does not match the PUF circuit "
         "(wrong width or layout?)");
@@ -269,15 +293,24 @@ const timingsim::DelaySet& AluPufEmulator::delays_for(
   if (!has_cache_ || cached_env_.vdd_scale != env.vdd_scale ||
       cached_env_.temperature_c != env.temperature_c) {
     cached_delays_ = variation::delays_from_table(model_, env);
-    // Rebuild the shared-delay bit-sliced engine eagerly with the cache:
-    // its time-rep classification is a one-off per operating point, and
-    // prewarm() must leave nothing left to build lazily (thread sharing).
-    cached_slice_ = std::make_unique<timingsim::BitSliceEngine>(
-        batch_sim_.compiled(), cached_delays_);
+    cached_slice_.reset();
     cached_env_ = env;
     has_cache_ = true;
   }
   return cached_delays_;
+}
+
+const timingsim::BitSliceEngine& AluPufEmulator::slice_for(
+    const variation::Environment& env) const {
+  const auto& delays = delays_for(env);
+  // The time-rep classification is a one-off per operating point, paid by
+  // the first bit-sliced run (or prewarm) — a verifier's 8-lane batches
+  // never need it.
+  if (!cached_slice_) {
+    cached_slice_ = std::make_unique<timingsim::BitSliceEngine>(
+        topology_->cone_sim.compiled(), delays);
+  }
+  return *cached_slice_;
 }
 
 void AluPufEmulator::run_challenge(const Challenge& challenge,
@@ -285,7 +318,7 @@ void AluPufEmulator::run_challenge(const Challenge& challenge,
   if (challenge.size() != 2 * width_) {
     throw std::invalid_argument("AluPufEmulator: challenge must be 2*width bits");
   }
-  sim_.run(challenge, delays_for(env), scratch_states_);
+  topology_->sim.run(challenge, delays_for(env), scratch_states_);
 }
 
 void AluPufEmulator::check_batch(const Challenge* challenges,
@@ -302,18 +335,20 @@ timingsim::BatchEngine AluPufEmulator::run_batch(
     const Challenge* challenges, std::size_t count,
     const variation::Environment& env, timingsim::BatchEngine engine) const {
   check_batch(challenges, count);
-  const auto& delays = delays_for(env);
   using timingsim::BatchEngine;
   if (engine == BatchEngine::kAuto) {
     engine = count >= timingsim::kBitsliceMinLanes ? BatchEngine::kBitslice
                                                    : BatchEngine::kBatch;
   }
   if (engine == BatchEngine::kBitslice) {
+    const auto& slice = slice_for(env);
     timingsim::pack_input_words(challenges, count, 2 * width_, slice_words_);
-    cached_slice_->run(slice_words_.data(), count, slice_state_);
+    slice.run(slice_words_.data(), count, slice_state_);
   } else {
+    const auto& delays = delays_for(env);
     timingsim::pack_input_lanes(challenges, count, 2 * width_, batch_inputs_);
-    batch_sim_.run_batch(batch_inputs_.data(), count, delays, batch_state_);
+    topology_->cone_sim.run_batch(batch_inputs_.data(), count, delays,
+                                  batch_state_);
   }
   return engine;
 }
@@ -336,12 +371,13 @@ std::vector<RawResponse> AluPufEmulator::eval_batch(
   if (engine == BatchEngine::kBitslice) {
     // Word-parallel arbiter: decide every race 64 lanes at a time, then
     // transpose each lane block back into per-device response vectors.
+    const auto& circuit = topology_->circuit;
     responses.assign(count, RawResponse(width_));
     const std::size_t nwords = slice_state_.nwords;
     std::vector<std::uint64_t> race(width_ * nwords);
     for (std::size_t i = 0; i < width_; ++i) {
-      cached_slice_->race_words(slice_state_, circuit_.race0[i],
-                                circuit_.race1[i], race.data() + i * nwords);
+      cached_slice_->race_words(slice_state_, circuit.race0[i],
+                                circuit.race1[i], race.data() + i * nwords);
     }
     for (std::size_t w = 0; w < nwords; ++w) {
       const std::size_t lanes = std::min<std::size_t>(64, count - w * 64);
@@ -350,12 +386,13 @@ std::vector<RawResponse> AluPufEmulator::eval_batch(
     }
     return responses;
   }
+  const auto& circuit = topology_->circuit;
   responses.reserve(count);
   for (std::size_t x = 0; x < count; ++x) {
     RawResponse response(width_);
     for (std::size_t i = 0; i < width_; ++i) {
-      const double delta = batch_state_.time_ps(circuit_.race1[i], x) -
-                           batch_state_.time_ps(circuit_.race0[i], x);
+      const double delta = batch_state_.time_ps(circuit.race1[i], x) -
+                           batch_state_.time_ps(circuit.race0[i], x);
       response.set(i, timingsim::Arbiter::decide(delta));
     }
     responses.push_back(std::move(response));
@@ -380,12 +417,13 @@ void AluPufEmulator::eval_soft_batch(const Challenge* challenges,
     return;
   }
   engine = run_batch(challenges, count, env, engine);
+  const auto& circuit = topology_->circuit;
   if (engine == BatchEngine::kBitslice) {
     for (std::size_t x = 0; x < count; ++x) {
       for (std::size_t i = 0; i < width_; ++i) {
         const double delta =
-            cached_slice_->time_ps(slice_state_, circuit_.race1[i], x) -
-            cached_slice_->time_ps(slice_state_, circuit_.race0[i], x);
+            cached_slice_->time_ps(slice_state_, circuit.race1[i], x) -
+            cached_slice_->time_ps(slice_state_, circuit.race0[i], x);
         out[x * width_ + i] = -delta;
       }
     }
@@ -393,8 +431,8 @@ void AluPufEmulator::eval_soft_batch(const Challenge* challenges,
   }
   for (std::size_t x = 0; x < count; ++x) {
     for (std::size_t i = 0; i < width_; ++i) {
-      const double delta = batch_state_.time_ps(circuit_.race1[i], x) -
-                           batch_state_.time_ps(circuit_.race0[i], x);
+      const double delta = batch_state_.time_ps(circuit.race1[i], x) -
+                           batch_state_.time_ps(circuit.race0[i], x);
       out[x * width_ + i] = -delta;
     }
   }
@@ -403,10 +441,11 @@ void AluPufEmulator::eval_soft_batch(const Challenge* challenges,
 RawResponse AluPufEmulator::eval(const Challenge& challenge,
                                  const variation::Environment& env) const {
   run_challenge(challenge, env);
+  const auto& circuit = topology_->circuit;
   RawResponse response(width_);
   for (std::size_t i = 0; i < width_; ++i) {
-    const double delta = scratch_states_[circuit_.race1[i]].time_ps -
-                         scratch_states_[circuit_.race0[i]].time_ps;
+    const double delta = scratch_states_[circuit.race1[i]].time_ps -
+                         scratch_states_[circuit.race0[i]].time_ps;
     response.set(i, timingsim::Arbiter::decide(delta));
   }
   return response;
@@ -415,10 +454,11 @@ RawResponse AluPufEmulator::eval(const Challenge& challenge,
 std::vector<double> AluPufEmulator::eval_soft(
     const Challenge& challenge, const variation::Environment& env) const {
   run_challenge(challenge, env);
+  const auto& circuit = topology_->circuit;
   std::vector<double> llr(width_);
   for (std::size_t i = 0; i < width_; ++i) {
-    const double delta = scratch_states_[circuit_.race1[i]].time_ps -
-                         scratch_states_[circuit_.race0[i]].time_ps;
+    const double delta = scratch_states_[circuit.race1[i]].time_ps -
+                         scratch_states_[circuit.race0[i]].time_ps;
     // Bit is 1 when delta > 0, and the LLR convention is positive = bit 0.
     llr[i] = -delta;
   }

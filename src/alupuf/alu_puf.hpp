@@ -6,13 +6,15 @@
 // arbiter metastability and (optionally) clock-induced setup violations —
 // the mechanism behind the paper's overclocking-attack resilience.
 // AluPufEmulator is the verifier's PUF.Emulate(): the same race computed
-// deterministically from the enrollment delay table H.
+// deterministically from the enrollment delay table H.  Both hold only
+// their per-device state (the chip or H, delay caches, scratch); the
+// circuit and its compiled timing kernels are the same for every chip of
+// one shape and live in a shared AluPufTopology.
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
 #include <memory>
+#include <vector>
 
 #include "netlist/builder.hpp"
 #include "support/bitvec.hpp"
@@ -66,10 +68,34 @@ struct AluPufBatchScratch {
   std::vector<std::uint64_t> input_words;
 };
 
+/// The device-independent half of an ALU PUF: the dual-adder circuit and
+/// the timing kernels compiled from it.  Every chip of one (width, layout)
+/// has the same netlist, so one immutable instance serves every AluPuf and
+/// AluPufEmulator of that shape.  Not copyable: the simulators and every
+/// ChipInstance built on `circuit.net` point into it.
+class AluPufTopology {
+ public:
+  AluPufTopology(const AluPufTopology&) = delete;
+  AluPufTopology& operator=(const AluPufTopology&) = delete;
+
+  /// The process-wide instance for (width, layout), built on first use and
+  /// kept for the life of the process.  Thread-safe.
+  static std::shared_ptr<const AluPufTopology> shared(
+      std::size_t width, const netlist::AluPufLayout& layout);
+
+  netlist::AluPufCircuit circuit;
+  timingsim::TimingSimulator sim;        ///< full netlist
+  timingsim::TimingSimulator cone_sim;   ///< arbiter-cone restricted
+  timingsim::BitSliceEngine lane_slice;  ///< lane-delay mode, same cone
+
+ private:
+  AluPufTopology(std::size_t width, const netlist::AluPufLayout& layout);
+};
+
 class AluPuf {
  public:
-  /// Builds the dual-ALU circuit and manufactures one chip from
-  /// `chip_seed` (every seed is a distinct die).
+  /// Manufactures one chip from `chip_seed` (every seed is a distinct die)
+  /// on the shared topology of (config.width, config.layout).
   AluPuf(const AluPufConfig& config, std::uint64_t chip_seed);
 
   std::size_t response_bits() const { return config_.width; }
@@ -146,15 +172,15 @@ class AluPuf {
 
   const AluPufConfig& config() const { return config_; }
   const variation::ChipInstance& chip() const { return chip_; }
-  const netlist::AluPufCircuit& circuit() const { return circuit_; }
+  const netlist::AluPufCircuit& circuit() const { return topology_->circuit; }
+  const std::shared_ptr<const AluPufTopology>& topology() const {
+    return topology_;
+  }
 
  private:
   AluPufConfig config_;
-  netlist::AluPufCircuit circuit_;
-  variation::ChipInstance chip_;
-  timingsim::TimingSimulator sim_;        ///< full netlist (analysis paths)
-  timingsim::TimingSimulator batch_sim_;  ///< arbiter-cone restricted
-  timingsim::BitSliceEngine slice_sim_;   ///< lane-delay mode, same cone
+  std::shared_ptr<const AluPufTopology> topology_;
+  variation::ChipInstance chip_;  ///< built on topology_->circuit.net
   timingsim::Arbiter arbiter_;
   // Per-env delay cache: most experiments evaluate millions of challenges
   // at a fixed operating point.
@@ -210,16 +236,25 @@ class AluPufEmulator {
       const variation::Environment& env = variation::Environment::nominal(),
       timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto) const;
 
-  /// Warms the per-env delay cache (see AluPuf::prewarm).
+  /// Warms the per-env delay cache and the shared-delay bit-sliced engine
+  /// (see AluPuf::prewarm).
   void prewarm(const variation::Environment& env =
                    variation::Environment::nominal()) const {
-    delays_for(env);
+    slice_for(env);
+  }
+
+  const std::shared_ptr<const AluPufTopology>& topology() const {
+    return topology_;
   }
 
  private:
   void run_challenge(const Challenge& challenge,
                      const variation::Environment& env) const;
   const timingsim::DelaySet& delays_for(const variation::Environment& env) const;
+  /// delays_for plus the shared-delay bit-sliced engine over those delays,
+  /// built on first use per operating point.
+  const timingsim::BitSliceEngine& slice_for(
+      const variation::Environment& env) const;
   /// Runs the kBatch or kBitslice kernel (kAuto resolved by lane count)
   /// into batch_state_ / slice_state_; returns the engine that ran.
   /// kScalar never reaches here — callers loop the scalar path themselves.
@@ -230,16 +265,15 @@ class AluPufEmulator {
   void check_batch(const Challenge* challenges, std::size_t count) const;
 
   std::size_t width_;
-  netlist::AluPufCircuit circuit_;
+  std::shared_ptr<const AluPufTopology> topology_;
   variation::DelayTable model_;
-  timingsim::TimingSimulator sim_;        ///< full netlist (scalar paths)
-  timingsim::TimingSimulator batch_sim_;  ///< arbiter-cone restricted
   mutable variation::Environment cached_env_;
   mutable bool has_cache_ = false;
   mutable timingsim::DelaySet cached_delays_;
-  /// Shared-delay bit-sliced engine over the cached DelaySet; rebuilt with
-  /// the cache (prewarm builds it too, keeping post-prewarm evaluation
-  /// read-only for thread sharing).
+  /// Shared-delay bit-sliced engine over the cached DelaySet: dropped with
+  /// the cache, built by the first bit-sliced run at that operating point
+  /// (prewarm builds it too, keeping post-prewarm evaluation read-only for
+  /// thread sharing).
   mutable std::unique_ptr<timingsim::BitSliceEngine> cached_slice_;
   mutable std::vector<timingsim::SignalState> scratch_states_;
   mutable timingsim::BatchState batch_state_;

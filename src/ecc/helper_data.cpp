@@ -6,19 +6,15 @@ namespace pufatt::ecc {
 
 using support::BitVector;
 
-SyndromeHelper::SyndromeHelper(const BinaryCode& code) : code_(&code) {
-  const auto& h = code.parity_check();
-  preimage_.reserve(h.rows());
-  for (std::size_t j = 0; j < h.rows(); ++j) {
-    BitVector unit(h.rows());
-    unit.set(j, true);
-    auto solution = h.solve(unit);
-    if (!solution) {
-      throw std::invalid_argument(
-          "SyndromeHelper: parity-check matrix is rank-deficient");
-    }
-    preimage_.push_back(std::move(*solution));
+SyndromeHelper::SyndromeHelper(const BinaryCode& code)
+    : code_(&code), preimage_(&code.syndrome_preimages()) {}
+
+BitVector SyndromeHelper::syndrome_preimage(const BitVector& helper) const {
+  BitVector y0(code_->n());
+  for (std::size_t j = 0; j < helper.size(); ++j) {
+    if (helper.get(j)) y0 ^= (*preimage_)[j];
   }
+  return y0;
 }
 
 BitVector SyndromeHelper::generate(const BitVector& response) const {
@@ -37,10 +33,7 @@ std::optional<BitVector> SyndromeHelper::reproduce(
     throw std::invalid_argument("SyndromeHelper::reproduce: bad helper size");
   }
   // y0: any word with syndrome equal to the helper data.
-  BitVector y0(code_->n());
-  for (std::size_t j = 0; j < helper.size(); ++j) {
-    if (helper.get(j)) y0 ^= preimage_[j];
-  }
+  const BitVector y0 = syndrome_preimage(helper);
   // reference XOR y0 = (codeword) XOR (small error); decode it.
   const auto codeword = code_->decode_to_codeword(reference ^ y0);
   if (!codeword) return std::nullopt;
@@ -56,10 +49,7 @@ std::optional<BitVector> SyndromeHelper::reproduce_soft(
   if (helper.size() != helper_bits()) {
     throw std::invalid_argument("SyndromeHelper::reproduce_soft: bad helper");
   }
-  BitVector y0(code_->n());
-  for (std::size_t j = 0; j < helper.size(); ++j) {
-    if (helper.get(j)) y0 ^= preimage_[j];
-  }
+  const BitVector y0 = syndrome_preimage(helper);
   // The word to decode is reference XOR y0; XOR with a known bit flips the
   // sign of the soft value.
   std::vector<double> llr = reference_llr;

@@ -22,7 +22,8 @@ namespace pufatt::ecc {
 
 class SyndromeHelper {
  public:
-  /// `code` must outlive this object.
+  /// `code` must outlive this object.  Cheap after the first helper over
+  /// `code`: the syndrome preimage table belongs to the code and is shared.
   explicit SyndromeHelper(const BinaryCode& code);
 
   /// Helper data for a measured response (n bits in, n-k bits out).
@@ -52,10 +53,12 @@ class SyndromeHelper {
   std::size_t leaked_bits() const { return helper_bits(); }
 
  private:
+  /// y0 := XOR of the preimages of the helper's set bits.
+  support::BitVector syndrome_preimage(const support::BitVector& helper) const;
+
   const BinaryCode* code_;
-  /// preimage_[j] = a fixed word whose syndrome is the j-th unit vector;
-  /// any word with syndrome h is the XOR of preimages of h's set bits.
-  std::vector<support::BitVector> preimage_;
+  /// The code's shared table (BinaryCode::syndrome_preimages).
+  const std::vector<support::BitVector>* preimage_;
 };
 
 }  // namespace pufatt::ecc

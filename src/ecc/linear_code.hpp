@@ -6,6 +6,7 @@
 // (bch.hpp) and ReedMuller1 (reed_muller.hpp).
 #pragma once
 
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -56,6 +57,19 @@ class BinaryCode {
   support::BitVector syndrome(const support::BitVector& word) const {
     return parity_check().mul_vector(word);
   }
+
+  /// Syndrome preimages: entry j is the n-bit word Gf2Matrix::solve
+  /// returns for the j-th unit syndrome, so any word with syndrome h is the
+  /// XOR of the entries of h's set bits.  The table depends only on
+  /// parity_check(), so it is built once per code object on first use
+  /// (thread-safe) and every SyndromeHelper over this code shares it;
+  /// codes are therefore shared by reference, not copied.  Throws
+  /// std::invalid_argument if the parity-check matrix is rank-deficient.
+  const std::vector<support::BitVector>& syndrome_preimages() const;
+
+ private:
+  mutable std::once_flag preimages_once_;
+  mutable std::vector<support::BitVector> preimages_;
 };
 
 /// Derives a full-rank parity-check matrix from a generator matrix by

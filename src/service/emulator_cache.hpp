@@ -1,12 +1,14 @@
 // LRU cache of constructed verifiers (and their PufEmulators).
 //
-// Building a core::Verifier is the expensive part of serving a request:
-// the constructor instantiates the gate-level ALU circuit and a timing
-// simulator from the enrollment delay table.  Rebuilding it per request —
-// what every bench and example does today — would dominate service time,
-// so the cache amortizes construction across requests, bounded by
-// `capacity` verifiers (each holds a full circuit model, so memory is the
-// real constraint on a fleet of millions).
+// Building a core::Verifier is the cold part of serving a request: the
+// constructor turns the enrollment delay table into per-gate delays for
+// the emulator.  The gate-level ALU circuit and its compiled timing
+// kernels are shared by every device of one (width, layout), and the
+// code's syndrome preimage table by every verifier over that code, so a
+// miss builds only the per-device part.  The cache still amortizes that
+// across requests, bounded by `capacity` verifiers: an entry holds the
+// delay table, its derived delays and evaluation scratch (tens of KiB),
+// while the topology it points to is shared.
 //
 // Concurrency contract: Verifier::verify mutates per-instance scratch
 // buffers under const (the emulator's delay/state caches), so a cached

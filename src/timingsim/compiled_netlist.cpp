@@ -46,12 +46,14 @@ CompiledNetlist::CompiledNetlist(const netlist::Netlist& net,
 
 void CompiledNetlist::build(const netlist::Netlist& net,
                             const std::vector<GateId>* observed) {
-  // Compilation is the cold half of a cache miss (cache.build ends up
-  // here via the Verifier constructor); a span per compile makes cold
-  // starts visible next to the per-batch kernels they amortize into.
+  // Every compile is counted, traced or not, so sim.compiles per verdict
+  // shows whether a cache miss still rebuilds shared structure; a span per
+  // compile (tracer on only) makes cold starts visible next to the
+  // per-batch kernels they amortize into.
+  static obs::Counter& compiles = obs::global_registry().counter("sim.compiles");
+  compiles.add(1);
   obs::Span span;
   if (obs::global_trace_enabled()) {
-    obs::global_registry().counter("sim.compiles").add(1);
     span = obs::global_tracer().span("sim.compile");
   }
   const auto& gates = net.gates();

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
+#include <memory>
 
 #include "alupuf/alu_puf.hpp"
 #include "alupuf/arbiter_puf.hpp"
 #include "alupuf/obfuscation.hpp"
 #include "alupuf/pipeline.hpp"
 #include "ecc/reed_muller.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "support/stats.hpp"
 
 namespace pufatt::alupuf {
@@ -207,6 +211,138 @@ TEST(AluPufEmulator, WrongChipModelDisagrees) {
 TEST(AluPufEmulator, RejectsMismatchedModel) {
   const AluPuf puf(small_config(16), 23);
   EXPECT_THROW(AluPufEmulator(32, puf.export_model()), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------- Topology
+
+TEST(AluPufTopology, OneSharedInstancePerShape) {
+  const AluPuf puf(small_config(16), 31);
+  const AluPufEmulator a(16, puf.export_model());
+  const AluPufEmulator b(16, AluPuf(small_config(16), 32).export_model());
+  EXPECT_EQ(a.topology(), b.topology());
+  EXPECT_EQ(a.topology(), puf.topology());
+  EXPECT_EQ(&puf.circuit(), &a.topology()->circuit);
+  EXPECT_EQ(&puf.chip().net(), &puf.circuit().net);
+
+  // Another layout (or width) is another netlist: its own topology.
+  netlist::AluPufLayout wide;
+  wide.alu_separation = 4.0;
+  AluPufConfig config = small_config(16);
+  config.layout = wide;
+  const AluPuf other(config, 31);
+  const AluPufEmulator c(16, other.export_model(), wide);
+  EXPECT_NE(c.topology(), a.topology());
+  EXPECT_EQ(c.topology(), other.topology());
+  EXPECT_NE(AluPuf(small_config(8), 31).topology(), puf.topology());
+}
+
+TEST(AluPufTopology, CompilesOncePerShapeWithTracingOff) {
+  ASSERT_FALSE(obs::global_trace_enabled());
+  const auto& compiles = obs::global_registry().counter("sim.compiles");
+  // A shape no other test builds, so its topology is new to this process.
+  AluPufConfig config = small_config(12);
+  config.layout.origin_x = 3.75;
+  const auto before = compiles.value();
+  const AluPuf puf(config, 41);
+  // Full netlist + arbiter cone; the lane-delay bit-sliced engine reuses
+  // the cone's schedule.
+  EXPECT_EQ(compiles.value() - before, 2u);
+
+  const auto model = puf.export_model();
+  const AluPuf again(config, 42);
+  const AluPufEmulator first(12, model, config.layout);
+  const AluPufEmulator second(12, model, config.layout);
+  Xoshiro256pp rng(43);
+  const auto challenge = random_challenge(12, rng);
+  (void)first.eval(challenge);
+  (void)second.eval_soft(challenge);
+  EXPECT_EQ(compiles.value() - before, 2u);
+}
+
+TEST(AluPufTopology, EmulatedAndSoftResponsesArePinned) {
+  // Digest of hard and soft emulation on every engine plus noisy device
+  // evaluations.  A different digest means emulation changed, and with it
+  // every verdict and CRP digest.
+  const AluPuf puf(small_config(16), 0x51);
+  const AluPufEmulator emulator(16, puf.export_model());
+  Xoshiro256pp rng(0x52);
+  std::vector<Challenge> challenges;
+  for (int x = 0; x < 70; ++x) challenges.push_back(random_challenge(16, rng));
+
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  const auto mix = [&digest](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      digest = (digest ^ ((word >> (8 * b)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  };
+  const auto mix_bits = [&mix](const RawResponse& r) {
+    for (std::size_t i = 0; i < r.size(); ++i) mix(r.get(i) ? 1 : 0);
+  };
+  const auto mix_doubles = [&mix](const std::vector<double>& values) {
+    for (const double v : values) {
+      std::uint64_t word;
+      std::memcpy(&word, &v, sizeof word);
+      mix(word);
+    }
+  };
+  for (const auto& c : challenges) {
+    mix_bits(emulator.eval(c));
+    mix_doubles(emulator.eval_soft(c));
+  }
+  for (const auto engine :
+       {timingsim::BatchEngine::kBatch, timingsim::BatchEngine::kBitslice}) {
+    for (const auto& r :
+         emulator.eval_batch(challenges.data(), challenges.size(),
+                             Environment::nominal(), engine)) {
+      mix_bits(r);
+    }
+    std::vector<double> soft;
+    emulator.eval_soft_batch(challenges.data(), 8, soft,
+                             Environment::nominal(), engine);
+    mix_doubles(soft);
+  }
+  Xoshiro256pp noise(0x53);
+  for (int x = 0; x < 8; ++x) {
+    mix_bits(puf.eval(challenges[x], Environment::nominal(), noise));
+  }
+  for (const auto& r : puf.eval_batch(challenges.data(), challenges.size(),
+                                      Environment::nominal(), noise)) {
+    mix_bits(r);
+  }
+  mix_doubles(puf.race_deltas(challenges[0], Environment::nominal()));
+  EXPECT_EQ(digest, 0xBFCB3CE53CF3D57CULL);
+}
+
+TEST(PufDevice, CopyOutlivesItsSource) {
+  // A copied device must not reach into its source: the copy's chip and
+  // simulators read the shared topology, so querying it after the source
+  // is gone is clean (and ASan-checked in the sanitizer tree).
+  const ecc::ReedMuller1 code(4);
+  auto source = std::make_unique<PufDevice>(small_config(16), 0x61, code);
+  const auto env = Environment::nominal();
+  Xoshiro256pp expect_rng(0x62);
+  const auto expected = source->query(0x63, env, expect_rng);
+  // 8 protocol challenges = 64 raw evaluations: the bit-sliced engine.
+  const std::uint64_t batch[] = {0x64, 0x65, 0x66, 0x67,
+                                 0x68, 0x69, 0x6A, 0x6B};
+  const auto expected_batch = source->query_batch(batch, 8, env, expect_rng);
+  const auto expected_deltas =
+      source->raw_puf().race_deltas(Challenge(32), env);
+
+  const PufDevice copy = *source;
+  source.reset();
+
+  Xoshiro256pp rng(0x62);
+  const auto got = copy.query(0x63, env, rng);
+  EXPECT_EQ(got.z, expected.z);
+  EXPECT_EQ(got.helpers, expected.helpers);
+  const auto got_batch = copy.query_batch(batch, 8, env, rng);
+  ASSERT_EQ(got_batch.size(), 8u);
+  for (std::size_t x = 0; x < 8; ++x) {
+    EXPECT_EQ(got_batch[x].z, expected_batch[x].z);
+    EXPECT_EQ(got_batch[x].helpers, expected_batch[x].helpers);
+  }
+  EXPECT_EQ(copy.raw_puf().race_deltas(Challenge(32), env), expected_deltas);
 }
 
 // ------------------------------------------------------------- Obfuscation

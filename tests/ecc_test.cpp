@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
 #include <set>
 
 #include "ecc/bch.hpp"
@@ -473,6 +475,68 @@ TEST_F(HelperDataCodes, HelperIsLinearInResponse) {
     EXPECT_EQ(helper.generate(y1 ^ y2),
               helper.generate(y1) ^ helper.generate(y2));
   }
+}
+
+TEST_F(HelperDataCodes, SharedPreimagesMatchPerUnitSolve) {
+  // The code's shared table must be exactly what a per-unit-vector
+  // Gf2Matrix::solve gives, for the paper's RM(1,5), a BCH code and a
+  // shortened BCH code.
+  const BchCode shortened(5, 3, 10);
+  for (const BinaryCode* code :
+       {static_cast<const BinaryCode*>(&rm_), static_cast<const BinaryCode*>(&bch_),
+        static_cast<const BinaryCode*>(&shortened)}) {
+    const auto& h = code->parity_check();
+    const auto& table = code->syndrome_preimages();
+    ASSERT_EQ(table.size(), code->n() - code->k());
+    for (std::size_t j = 0; j < h.rows(); ++j) {
+      BitVector unit(h.rows());
+      unit.set(j, true);
+      const auto oracle = h.solve(unit);
+      ASSERT_TRUE(oracle.has_value());
+      EXPECT_EQ(table[j], *oracle) << "n=" << code->n() << " row " << j;
+      EXPECT_EQ(code->syndrome(table[j]), unit);
+    }
+    // Every helper over the code shares the one table.
+    EXPECT_EQ(&code->syndrome_preimages(), &table);
+  }
+}
+
+/// FNV-1a over a reconstruction outcome: a marker byte, then the bits.
+void fold_outcome(std::uint64_t& digest, const std::optional<BitVector>& out) {
+  const auto mix = [&digest](std::uint8_t byte) {
+    digest = (digest ^ byte) * 0x100000001B3ULL;
+  };
+  mix(out ? 1 : 0);
+  if (!out) return;
+  for (std::size_t i = 0; i < out->size(); ++i) mix(out->get(i) ? 1 : 0);
+}
+
+TEST_F(HelperDataCodes, ReconstructionCorpusIsPinned) {
+  // Hard and soft reconstructions over a fixed corpus that spans the
+  // decoders' radius (exact recoveries, miscorrections and failures).  A
+  // different digest means verifiers reconstruct different responses.
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  for (const BinaryCode* code :
+       {static_cast<const BinaryCode*>(&rm_), static_cast<const BinaryCode*>(&bch_)}) {
+    const SyndromeHelper helper(*code);
+    const std::size_t n = code->n();
+    Xoshiro256pp rng(0x9E11 + n);
+    for (int trial = 0; trial < 96; ++trial) {
+      const auto y = BitVector::random(n, rng);
+      const auto h = helper.generate(y);
+      auto reference = y;
+      const auto flips = rng.uniform_u64(code->guaranteed_correction() + 6);
+      for (std::uint64_t f = 0; f < flips; ++f) reference.flip(rng.uniform_u64(n));
+      fold_outcome(digest, helper.reproduce(reference, h));
+      std::vector<double> llr(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double magnitude = std::abs(rng.gaussian()) + 0.05;
+        llr[i] = reference.get(i) ? -magnitude : magnitude;
+      }
+      fold_outcome(digest, helper.reproduce_soft(llr, h));
+    }
+  }
+  EXPECT_EQ(digest, 0x67CAB90DD7CE80B1ULL);
 }
 
 TEST_F(HelperDataCodes, SizeValidation) {

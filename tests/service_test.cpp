@@ -1,7 +1,8 @@
 // Concurrent attestation service tests: sharded registry semantics under
-// contention, emulator-cache LRU accounting and per-device lease mutual
-// exclusion, and the worker pool's backpressure, drain and verdict-parity
-// contracts.  Every multi-threaded test here is expected to run clean
+// contention, emulator-cache LRU accounting, per-device lease mutual
+// exclusion and concurrent cold builds over the shared topology and
+// preimage tables, and the worker pool's backpressure, drain and
+// verdict-parity contracts.  Every multi-threaded test here is expected to run clean
 // under -DPUFATT_TSAN=ON (see README build matrix).
 #include <gtest/gtest.h>
 
@@ -21,9 +22,12 @@
 #include "core/serialize.hpp"
 #include "core/session.hpp"
 #include "ecc/reed_muller.hpp"
+#include "netlist/builder.hpp"
+#include "obs/metrics.hpp"
 #include "service/device_registry.hpp"
 #include "service/emulator_cache.hpp"
 #include "service/verifier_pool.hpp"
+#include "variation/chip.hpp"
 
 namespace pufatt::service {
 namespace {
@@ -255,6 +259,73 @@ TEST(EmulatorCache, ConcurrentMissStormIsAccountedExactly) {
             static_cast<std::size_t>(kThreads) * fleet.devices.size());
   EXPECT_EQ(cache.size(), fleet.devices.size());
   EXPECT_EQ(counters.evictions, 0u);
+}
+
+TEST(EmulatorCache, ConcurrentColdBuildsShareTopologyAndPreimages) {
+  // Cold acquires of distinct devices on many threads at once race the
+  // first use of the process topology table (two layouts this process has
+  // not built yet) and of a fresh code's syndrome preimage table.  Every
+  // shape must still compile exactly once, and verifiers built on the
+  // raced code must accept honest devices.
+  const auto& fleet = Fleet::instance();
+  const ecc::ReedMuller1 fresh_code(5);
+  auto registry = fleet.make_registry();
+  const auto& tmpl = fleet.devices[0].record;
+  std::vector<std::string> ids;
+  for (const auto& dev : fleet.devices) ids.push_back(dev.id);
+  constexpr std::size_t kPerLayout = 3;
+  for (std::size_t d = 0; d < 2 * kPerLayout; ++d) {
+    // Models of dies on the two new layouts, sampled straight from the
+    // netlist so that only the cache's own builds touch the table.
+    auto record = tmpl;
+    record.profile.puf_config.layout.origin_y = d % 2 == 0 ? 11.5 : 12.5;
+    const auto& config = record.profile.puf_config;
+    const auto circuit =
+        netlist::build_alu_puf_circuit(config.width, config.layout);
+    record.model = variation::ChipInstance(circuit.net, config.tech,
+                                           config.quadtree, 0xB0 + d)
+                       .export_delay_table();
+    ids.push_back("layout-" + std::to_string(d));
+    registry.store(ids.back(), record);
+  }
+  EmulatorCache cache(registry, fresh_code, ids.size());
+  const auto& compiles = obs::global_registry().counter("sim.compiles");
+  const auto compiles_before = compiles.value();
+
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < ids.size(); ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < ids.size()) std::this_thread::yield();
+      auto lease = cache.acquire(ids[t]);
+      ASSERT_TRUE(lease);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const auto counters = cache.counters();
+  EXPECT_EQ(counters.misses, ids.size());
+  EXPECT_EQ(counters.hits, 0u);
+  EXPECT_EQ(counters.discarded, 0u);
+  EXPECT_EQ(cache.size(), ids.size());
+  // Two new layouts, two compiles each; the fleet's layout was built at
+  // enrollment.
+  EXPECT_EQ(compiles.value() - compiles_before, 4u);
+
+  for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
+    auto lease = cache.acquire(fleet.devices[d].id);
+    ASSERT_TRUE(lease);
+    const auto& verifier = lease.verifier();
+    core::CpuProver prover(*fleet.devices[d].device, fleet.devices[d].record,
+                           core::CpuProver::Variant::kHonest, 0x77 + d);
+    Xoshiro256pp rng(0x78 + d);
+    const auto request = verifier.make_request(rng);
+    const auto outcome = prover.respond(request);
+    const auto result =
+        verifier.verify(request, outcome.response, outcome.compute_us);
+    EXPECT_TRUE(result.accepted()) << core::to_string(result.status);
+  }
 }
 
 // --- VerifierPool -----------------------------------------------------------
