@@ -2,24 +2,30 @@
 // column at increasing query budgets, run by the deterministic tournament
 // (src/adversary/tournament.hpp).
 //
-// The matrix is the PR's regression surface for the paper's security
-// claims, gated on three facts:
+// The matrix is the regression surface for the paper's security claims,
+// gated on three facts:
 //   1. LR breaks the plain Arbiter PUF (test accuracy >= 0.95 at the max
 //      budget — the Ruehrmair break the paper cites as motivation);
-//   2. no attack exceeds 0.60 against the obfuscated ALU pipeline at the
-//      max budget (the paper's response-obfuscation claim, with the replay
-//      column measured as session acceptance — several fresh verifier
-//      nonces, all of which the forged transcripts must pass — against the
-//      real verifier);
-//   3. the keyed-NLFSR front end degrades LR on the same arbiter chip to
-//      <= 0.60 (challenge obfuscation as an independent defence axis).
+//   2. no learning attack reaches an advantage above 0.60 against the
+//      obfuscated ALU pipeline at the max budget (the paper's
+//      response-obfuscation claim), and the replay column's session
+//      acceptance — several fresh verifier nonces, all of which the forged
+//      transcripts must pass, against the real verifier — stays <= 0.60;
+//   3. the keyed-NLFSR front end holds LR's advantage on the same arbiter
+//      chip to <= 0.60 (challenge obfuscation as an independent defence
+//      axis).
+// Advantage is max(a, 1 - a) for held-out accuracy a: a model that is
+// reliably wrong is as useful to an attacker as one that is reliably
+// right (invert its output), so raw accuracy alone would call an
+// anti-correlated model "resisting".  The JSON reports raw accuracy next
+// to every advantage.
 // The Gao'17 leaked-enrollment-model probe is reported alongside but NOT
 // gated — it measures a trust assumption (H must stay secret), not an
 // attack the design claims to stop.
 //
 // Determinism claims checked every run: the matrix JSON is byte-identical
 // across two runs at different thread counts, and a reduced ALU-backed
-// sub-matrix is byte-identical across the scalar/SoA/bit-sliced timing
+// sub-matrix is byte-identical across the scalar and bit-sliced timing
 // engines (CRP harvesting rides eval_batch, so the exactness contract
 // must hold end to end).
 //
@@ -27,6 +33,7 @@
 // budgets and training so the whole matrix fits in CI across sanitizer
 // trees, with relaxed accuracy gates (small budgets legitimately learn
 // less); the full run backs the acceptance numbers above.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -41,11 +48,19 @@ namespace {
 
 struct Gate {
   std::string name;
-  double value = 0.0;
+  const char* metric = "accuracy";  ///< accuracy / advantage / acceptance
+  double value = 0.0;               ///< the gated quantity
+  double accuracy = 0.0;            ///< raw held-out accuracy (or acceptance)
   double bound = 0.0;
   bool upper = false;  ///< true: value must be <= bound
   bool pass() const { return upper ? value <= bound : value >= bound; }
 };
+
+/// Attacker advantage of held-out accuracy `a`: max(a, 1 - a).
+Gate advantage_gate(std::string name, double a, double bound) {
+  return Gate{std::move(name), "advantage", std::max(a, 1.0 - a), a, bound,
+              /*upper=*/true};
+}
 
 TournamentConfig base_config(bool quick, std::size_t threads) {
   TournamentConfig config;
@@ -129,9 +144,11 @@ void write_json(const char* path, bool quick, const std::string& matrix,
   for (std::size_t i = 0; i < gates.size(); ++i) {
     const Gate& g = gates[i];
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"value\": %.6f, \"bound\": %.6f, "
+                 "    {\"name\": \"%s\", \"metric\": \"%s\", "
+                 "\"value\": %.6f, \"accuracy\": %.6f, \"bound\": %.6f, "
                  "\"op\": \"%s\", \"pass\": %s}%s\n",
-                 g.name.c_str(), g.value, g.bound, g.upper ? "<=" : ">=",
+                 g.name.c_str(), g.metric, g.value, g.accuracy, g.bound,
+                 g.upper ? "<=" : ">=",
                  g.pass() ? "true" : "false",
                  i + 1 < gates.size() ? "," : "");
   }
@@ -170,7 +187,6 @@ int main(int argc, char** argv) {
   const auto scalar =
       engine_submatrix_json(quick, timingsim::BatchEngine::kScalar);
   const bool engine_invariant =
-      scalar == engine_submatrix_json(quick, timingsim::BatchEngine::kBatch) &&
       scalar == engine_submatrix_json(quick, timingsim::BatchEngine::kBitslice);
 
   // Trust-assumption probe (reported, not gated): an attacker holding the
@@ -201,26 +217,32 @@ int main(int argc, char** argv) {
               leaked_acceptance);
 
   // ---- gates ---------------------------------------------------------------
+  const double resist_bound = quick ? 0.68 : 0.60;
   std::vector<Gate> gates;
-  const auto* lr_arbiter = result.find("arbiter", "lr");
-  gates.push_back(Gate{"lr_breaks_arbiter",
-                       lr_arbiter->reports.back().test_accuracy,
-                       quick ? 0.80 : 0.95, /*upper=*/false});
-  for (const char* attack : {"lr", "mlp", "cmaes", "replay"}) {
-    const auto* cell = result.find("alu-obf", attack);
-    gates.push_back(Gate{std::string("obfuscated_resists_") + attack,
-                         cell->reports.back().test_accuracy,
-                         quick ? 0.68 : 0.60, /*upper=*/true});
+  const double lr_arbiter =
+      result.find("arbiter", "lr")->reports.back().test_accuracy;
+  gates.push_back(Gate{"lr_breaks_arbiter", "accuracy", lr_arbiter,
+                       lr_arbiter, quick ? 0.80 : 0.95, /*upper=*/false});
+  for (const char* attack : {"lr", "mlp", "cmaes"}) {
+    gates.push_back(advantage_gate(
+        std::string("obfuscated_resists_") + attack,
+        result.find("alu-obf", attack)->reports.back().test_accuracy,
+        resist_bound));
   }
-  const auto* nlfsr = result.find("nlfsr-arbiter", "lr");
-  gates.push_back(Gate{"nlfsr_degrades_lr",
-                       nlfsr->reports.back().test_accuracy,
-                       quick ? 0.68 : 0.60, /*upper=*/true});
+  const double replay =
+      result.find("alu-obf", "replay")->reports.back().test_accuracy;
+  gates.push_back(Gate{"obfuscated_resists_replay", "acceptance", replay,
+                       replay, resist_bound, /*upper=*/true});
+  gates.push_back(advantage_gate(
+      "nlfsr_degrades_lr",
+      result.find("nlfsr-arbiter", "lr")->reports.back().test_accuracy,
+      resist_bound));
 
   bool ok = stable && engine_invariant;
   for (const Gate& g : gates) {
-    std::printf("gate %-26s %.3f %s %.2f  %s\n", g.name.c_str(), g.value,
-                g.upper ? "<=" : ">=", g.bound, g.pass() ? "PASS" : "FAIL");
+    std::printf("gate %-26s %-10s %.3f %s %.2f  %s  (raw %.3f)\n",
+                g.name.c_str(), g.metric, g.value, g.upper ? "<=" : ">=",
+                g.bound, g.pass() ? "PASS" : "FAIL", g.accuracy);
     ok = ok && g.pass();
   }
   std::printf("byte-stable across runs: %s | engine-invariant: %s\n",

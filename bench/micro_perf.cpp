@@ -218,31 +218,6 @@ void BM_TimingSimScalarRun(benchmark::State& state) {
 }
 BENCHMARK(BM_TimingSimScalarRun);
 
-void BM_TimingSimBatchRun(benchmark::State& state) {
-  const auto circuit = netlist::build_alu_puf_circuit(32);
-  const variation::ChipInstance chip(circuit.net, {}, {}, 1);
-  const auto delays = chip.nominal_delays(variation::Environment::nominal());
-  const timingsim::TimingSimulator sim(circuit.net);
-  support::Xoshiro256pp rng(13);
-  const std::size_t batch = 256;
-  std::vector<support::BitVector> challenges;
-  for (std::size_t b = 0; b < batch; ++b) {
-    challenges.push_back(
-        support::BitVector::random(circuit.net.num_inputs(), rng));
-  }
-  std::vector<std::uint8_t> lanes;
-  timingsim::pack_input_lanes(challenges.data(), batch,
-                              circuit.net.num_inputs(), lanes);
-  timingsim::BatchState out;
-  for (auto _ : state) {
-    sim.run_batch(lanes.data(), batch, delays, out);
-    benchmark::DoNotOptimize(out.times_ps.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_TimingSimBatchRun);
-
 void BM_Transpose64x64(benchmark::State& state) {
   // The bit-slice packing primitive: one 64x64 bit-matrix transpose turns
   // 64 challenge words into 64 lane words (items = lanes per block).
@@ -279,74 +254,84 @@ void BM_BitslicePackInputWords(benchmark::State& state) {
 }
 BENCHMARK(BM_BitslicePackInputWords);
 
-void BM_BitsliceSharedRun(benchmark::State& state) {
-  // Shared-delay bit-sliced kernel (the fleet-emulation path): 64 lanes
-  // per word through the levelized schedule, time-rep shortcuts on.
-  const auto circuit = netlist::build_alu_puf_circuit(32);
-  const variation::ChipInstance chip(circuit.net, {}, {}, 1);
-  const auto delays = chip.nominal_delays(variation::Environment::nominal());
-  const timingsim::TimingSimulator sim(circuit.net);
-  support::Xoshiro256pp rng(18);
-  const std::size_t batch = 256;
-  std::vector<support::BitVector> challenges;
-  for (std::size_t b = 0; b < batch; ++b) {
-    challenges.push_back(
-        support::BitVector::random(circuit.net.num_inputs(), rng));
-  }
+/// The 32-bit ALU PUF circuit, one chip's nominal delays, and `lanes`
+/// random challenges packed into bit-slice input words: the fixture of the
+/// lane-count sweeps below.
+struct SliceFixture {
+  netlist::AluPufCircuit circuit;
+  timingsim::DelaySet delays;
+  timingsim::TimingSimulator sim;
   std::vector<std::uint64_t> words;
-  timingsim::pack_input_words(challenges.data(), batch,
-                              circuit.net.num_inputs(), words);
-  const timingsim::BitSliceEngine engine(sim.compiled(), delays);
+
+  SliceFixture(std::size_t lanes, std::uint64_t seed)
+      : circuit(netlist::build_alu_puf_circuit(32)),
+        delays(variation::ChipInstance(circuit.net, {}, {}, 1)
+                   .nominal_delays(variation::Environment::nominal())),
+        sim(circuit.net) {
+    support::Xoshiro256pp rng(seed);
+    std::vector<support::BitVector> challenges;
+    for (std::size_t b = 0; b < lanes; ++b) {
+      challenges.push_back(
+          support::BitVector::random(circuit.net.num_inputs(), rng));
+    }
+    timingsim::pack_input_words(challenges.data(), lanes,
+                                circuit.net.num_inputs(), words);
+  }
+};
+
+// Lane counts of the bit-slice sweeps: one lane, one PUF() call (8), a
+// partial word, the 63/64 word edge, and a fleet batch.
+void slice_lane_args(benchmark::internal::Benchmark* b) {
+  for (const int lanes : {1, 8, 16, 32, 63, 64, 256}) b->Arg(lanes);
+}
+
+void BM_BitsliceSharedRun(benchmark::State& state) {
+  // Shared-delay bit-sliced kernel (the emulation path): 64 lanes per
+  // value word through the levelized schedule, time-rep shortcuts on.
+  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
+  const SliceFixture fx(lanes, 18);
+  const timingsim::BitSliceEngine engine(fx.sim.compiled(), fx.delays);
   timingsim::BitSliceState out;
   for (auto _ : state) {
-    engine.run(words.data(), batch, out);
+    engine.run(fx.words.data(), lanes, out);
     benchmark::DoNotOptimize(out.values.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch));
+                          static_cast<std::int64_t>(lanes));
 }
-BENCHMARK(BM_BitsliceSharedRun);
+BENCHMARK(BM_BitsliceSharedRun)->Apply(slice_lane_args);
 
 void BM_BitsliceLaneRun(benchmark::State& state) {
   // Lane-delay bit-sliced kernel (the noisy device path): every computed
   // gate carries per-lane times, so this isolates the word-parallel value
   // pass + fused AVX time pass against one fixed delay realization.
-  const auto circuit = netlist::build_alu_puf_circuit(32);
-  const variation::ChipInstance chip(circuit.net, {}, {}, 1);
-  const auto delays = chip.nominal_delays(variation::Environment::nominal());
-  const timingsim::TimingSimulator sim(circuit.net);
-  support::Xoshiro256pp rng(19);
-  const std::size_t batch = 256;
-  std::vector<support::BitVector> challenges;
-  for (std::size_t b = 0; b < batch; ++b) {
-    challenges.push_back(
-        support::BitVector::random(circuit.net.num_inputs(), rng));
-  }
-  std::vector<std::uint64_t> words;
-  timingsim::pack_input_words(challenges.data(), batch,
-                              circuit.net.num_inputs(), words);
-  const std::size_t gates = circuit.net.num_gates();
+  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
+  const SliceFixture fx(lanes, 19);
+  support::Xoshiro256pp rng(20);
+  const std::size_t gates = fx.circuit.net.num_gates();
   timingsim::BatchDelays lane_delays;
-  lane_delays.batch = batch;
-  lane_delays.rise_ps.resize(gates * batch);
-  lane_delays.fall_ps.resize(gates * batch);
+  lane_delays.batch = lanes;
+  lane_delays.rise_ps.resize(gates * lanes);
+  lane_delays.fall_ps.resize(gates * lanes);
   for (std::size_t g = 0; g < gates; ++g) {
-    for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t b = 0; b < lanes; ++b) {
       const double jitter = 1.0 + 0.01 * rng.uniform();
-      lane_delays.rise_ps[g * batch + b] = delays.rise_ps[g] * jitter;
-      lane_delays.fall_ps[g * batch + b] = delays.fall_ps[g] * jitter;
+      lane_delays.rise_ps[g * lanes + b] = fx.delays.rise_ps[g] * jitter;
+      lane_delays.fall_ps[g * lanes + b] = fx.delays.fall_ps[g] * jitter;
     }
   }
-  const timingsim::BitSliceEngine engine(sim.compiled());
+  const timingsim::BitSliceEngine engine(fx.sim.compiled());
   timingsim::BitSliceState out;
   for (auto _ : state) {
-    engine.run(words.data(), batch, lane_delays, out);
+    engine.run(fx.words.data(), lanes, lane_delays, out);
     benchmark::DoNotOptimize(out.values.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch));
+                          static_cast<std::int64_t>(lanes));
 }
-BENCHMARK(BM_BitsliceLaneRun);
+BENCHMARK(BM_BitsliceLaneRun)->Apply(slice_lane_args);
 
 void BM_AluPufEvalBatch(benchmark::State& state) {
   const alupuf::AluPuf puf(puf32(), 1);

@@ -123,10 +123,6 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
   for (std::size_t x = 0; x < count; ++x) check_challenge(challenges[x]);
 
   using timingsim::BatchEngine;
-  if (engine == BatchEngine::kAuto) {
-    engine = count >= timingsim::kBitsliceMinLanes ? BatchEngine::kBitslice
-                                                   : BatchEngine::kBatch;
-  }
 
   // Batch profiling under the global tracer: the delay-sampling loop and
   // the arbiter sweep are the two scalar phases flanking the vectorized
@@ -157,44 +153,35 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
   sample_span.end();
 
   // Run the selected timing kernel.  The scalar reference path keeps its
-  // race times in a side buffer; the SoA / bit-sliced states are read in
-  // place by the arbiter sweep below.
+  // race times in a side buffer; the bit-sliced state is read in place by
+  // the arbiter sweep below.
   std::vector<double> scalar_t0, scalar_t1;
-  switch (engine) {
-    case BatchEngine::kBitslice:
-      timingsim::pack_input_words(challenges, count, challenge_bits(),
-                                  ws.input_words);
-      topo.lane_slice.run(ws.input_words.data(), count, ws.delays, ws.slice);
-      break;
-    case BatchEngine::kScalar: {
-      // One cone-restricted scalar run per lane, each with its own column
-      // of the sampled delay matrix.  All-local state: the reference path
-      // must stay safe under the same thread-sharing rules as the others.
-      scalar_t0.resize(count * config_.width);
-      scalar_t1.resize(count * config_.width);
-      const std::size_t gates = circuit.net.num_gates();
-      timingsim::DelaySet lane_delays;
-      lane_delays.rise_ps.resize(gates);
-      lane_delays.fall_ps.resize(gates);
-      std::vector<timingsim::SignalState> states;
-      for (std::size_t x = 0; x < count; ++x) {
-        for (std::size_t g = 0; g < gates; ++g) {
-          lane_delays.rise_ps[g] = ws.delays.rise_ps[g * count + x];
-          lane_delays.fall_ps[g] = ws.delays.fall_ps[g * count + x];
-        }
-        topo.cone_sim.run(challenges[x], lane_delays, states);
-        for (std::size_t i = 0; i < config_.width; ++i) {
-          scalar_t0[x * config_.width + i] = states[circuit.race0[i]].time_ps;
-          scalar_t1[x * config_.width + i] = states[circuit.race1[i]].time_ps;
-        }
+  if (engine == BatchEngine::kScalar) {
+    // One cone-restricted scalar run per lane, each with its own column of
+    // the sampled delay matrix.  All-local state: the reference path must
+    // stay safe under the same thread-sharing rules as the bit-sliced one.
+    scalar_t0.resize(count * config_.width);
+    scalar_t1.resize(count * config_.width);
+    const std::size_t gates = circuit.net.num_gates();
+    timingsim::DelaySet lane_delays;
+    lane_delays.rise_ps.resize(gates);
+    lane_delays.fall_ps.resize(gates);
+    std::vector<timingsim::SignalState> states;
+    for (std::size_t x = 0; x < count; ++x) {
+      for (std::size_t g = 0; g < gates; ++g) {
+        lane_delays.rise_ps[g] = ws.delays.rise_ps[g * count + x];
+        lane_delays.fall_ps[g] = ws.delays.fall_ps[g * count + x];
       }
-      break;
+      topo.cone_sim.run(challenges[x], lane_delays, states);
+      for (std::size_t i = 0; i < config_.width; ++i) {
+        scalar_t0[x * config_.width + i] = states[circuit.race0[i]].time_ps;
+        scalar_t1[x * config_.width + i] = states[circuit.race1[i]].time_ps;
+      }
     }
-    default:
-      timingsim::pack_input_lanes(challenges, count, challenge_bits(),
-                                  ws.inputs);
-      topo.cone_sim.run_batch(ws.inputs.data(), count, ws.delays, ws.state);
-      break;
+  } else {
+    timingsim::pack_input_words(challenges, count, challenge_bits(),
+                                ws.input_words);
+    topo.lane_slice.run(ws.input_words.data(), count, ws.delays, ws.slice);
   }
 
   obs::Span arbiter_span = eval_span.child("puf.arbiter");
@@ -205,15 +192,12 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
     RawResponse response(config_.width);
     for (std::size_t i = 0; i < config_.width; ++i) {
       double t0, t1;
-      if (engine == BatchEngine::kBitslice) {
-        t0 = topo.lane_slice.time_ps(ws.slice, circuit.race0[i], x);
-        t1 = topo.lane_slice.time_ps(ws.slice, circuit.race1[i], x);
-      } else if (engine == BatchEngine::kScalar) {
+      if (engine == BatchEngine::kScalar) {
         t0 = scalar_t0[x * config_.width + i];
         t1 = scalar_t1[x * config_.width + i];
       } else {
-        t0 = ws.state.time_ps(circuit.race0[i], x);
-        t1 = ws.state.time_ps(circuit.race1[i], x);
+        t0 = topo.lane_slice.time_ps(ws.slice, circuit.race0[i], x);
+        t1 = topo.lane_slice.time_ps(ws.slice, circuit.race1[i], x);
       }
       if (clock != nullptr && std::min(t0, t1) > deadline) {
         response.set(i, lrng.bernoulli(0.5));
@@ -304,8 +288,8 @@ const timingsim::BitSliceEngine& AluPufEmulator::slice_for(
     const variation::Environment& env) const {
   const auto& delays = delays_for(env);
   // The time-rep classification is a one-off per operating point, paid by
-  // the first bit-sliced run (or prewarm) — a verifier's 8-lane batches
-  // never need it.
+  // the first batched run (or prewarm) — every later batch at that point,
+  // the verifier's 8-lane PUF() calls included, reuses it.
   if (!cached_slice_) {
     cached_slice_ = std::make_unique<timingsim::BitSliceEngine>(
         topology_->cone_sim.compiled(), delays);
@@ -331,26 +315,14 @@ void AluPufEmulator::check_batch(const Challenge* challenges,
   }
 }
 
-timingsim::BatchEngine AluPufEmulator::run_batch(
+const timingsim::BitSliceEngine& AluPufEmulator::run_slice(
     const Challenge* challenges, std::size_t count,
-    const variation::Environment& env, timingsim::BatchEngine engine) const {
+    const variation::Environment& env) const {
   check_batch(challenges, count);
-  using timingsim::BatchEngine;
-  if (engine == BatchEngine::kAuto) {
-    engine = count >= timingsim::kBitsliceMinLanes ? BatchEngine::kBitslice
-                                                   : BatchEngine::kBatch;
-  }
-  if (engine == BatchEngine::kBitslice) {
-    const auto& slice = slice_for(env);
-    timingsim::pack_input_words(challenges, count, 2 * width_, slice_words_);
-    slice.run(slice_words_.data(), count, slice_state_);
-  } else {
-    const auto& delays = delays_for(env);
-    timingsim::pack_input_lanes(challenges, count, 2 * width_, batch_inputs_);
-    topology_->cone_sim.run_batch(batch_inputs_.data(), count, delays,
-                                  batch_state_);
-  }
-  return engine;
+  const auto& slice = slice_for(env);
+  timingsim::pack_input_words(challenges, count, 2 * width_, slice_words_);
+  slice.run(slice_words_.data(), count, slice_state_);
+  return slice;
 }
 
 std::vector<RawResponse> AluPufEmulator::eval_batch(
@@ -367,35 +339,21 @@ std::vector<RawResponse> AluPufEmulator::eval_batch(
     }
     return responses;
   }
-  engine = run_batch(challenges, count, env, engine);
-  if (engine == BatchEngine::kBitslice) {
-    // Word-parallel arbiter: decide every race 64 lanes at a time, then
-    // transpose each lane block back into per-device response vectors.
-    const auto& circuit = topology_->circuit;
-    responses.assign(count, RawResponse(width_));
-    const std::size_t nwords = slice_state_.nwords;
-    std::vector<std::uint64_t> race(width_ * nwords);
-    for (std::size_t i = 0; i < width_; ++i) {
-      cached_slice_->race_words(slice_state_, circuit.race0[i],
-                                circuit.race1[i], race.data() + i * nwords);
-    }
-    for (std::size_t w = 0; w < nwords; ++w) {
-      const std::size_t lanes = std::min<std::size_t>(64, count - w * 64);
-      support::unpack_bit_columns(race.data() + w, width_, nwords,
-                                  responses.data() + w * 64, lanes);
-    }
-    return responses;
-  }
+  const auto& slice = run_slice(challenges, count, env);
+  // Word-parallel arbiter: decide every race 64 lanes at a time, then
+  // transpose each lane block back into per-device response vectors.
   const auto& circuit = topology_->circuit;
-  responses.reserve(count);
-  for (std::size_t x = 0; x < count; ++x) {
-    RawResponse response(width_);
-    for (std::size_t i = 0; i < width_; ++i) {
-      const double delta = batch_state_.time_ps(circuit.race1[i], x) -
-                           batch_state_.time_ps(circuit.race0[i], x);
-      response.set(i, timingsim::Arbiter::decide(delta));
-    }
-    responses.push_back(std::move(response));
+  responses.assign(count, RawResponse(width_));
+  const std::size_t nwords = slice_state_.nwords;
+  std::vector<std::uint64_t> race(width_ * nwords);
+  for (std::size_t i = 0; i < width_; ++i) {
+    slice.race_words(slice_state_, circuit.race0[i], circuit.race1[i],
+                     race.data() + i * nwords);
+  }
+  for (std::size_t w = 0; w < nwords; ++w) {
+    const std::size_t lanes = std::min<std::size_t>(64, count - w * 64);
+    support::unpack_bit_columns(race.data() + w, width_, nwords,
+                                responses.data() + w * 64, lanes);
   }
   return responses;
 }
@@ -416,23 +374,12 @@ void AluPufEmulator::eval_soft_batch(const Challenge* challenges,
     }
     return;
   }
-  engine = run_batch(challenges, count, env, engine);
+  const auto& slice = run_slice(challenges, count, env);
   const auto& circuit = topology_->circuit;
-  if (engine == BatchEngine::kBitslice) {
-    for (std::size_t x = 0; x < count; ++x) {
-      for (std::size_t i = 0; i < width_; ++i) {
-        const double delta =
-            cached_slice_->time_ps(slice_state_, circuit.race1[i], x) -
-            cached_slice_->time_ps(slice_state_, circuit.race0[i], x);
-        out[x * width_ + i] = -delta;
-      }
-    }
-    return;
-  }
   for (std::size_t x = 0; x < count; ++x) {
     for (std::size_t i = 0; i < width_; ++i) {
-      const double delta = batch_state_.time_ps(circuit.race1[i], x) -
-                           batch_state_.time_ps(circuit.race0[i], x);
+      const double delta = slice.time_ps(slice_state_, circuit.race1[i], x) -
+                           slice.time_ps(slice_state_, circuit.race0[i], x);
       out[x * width_ + i] = -delta;
     }
   }

@@ -59,11 +59,8 @@ struct ClockConstraint {
 /// allocate one per worker slot; single-threaded callers may pass nullptr
 /// (the PUF then uses an internal scratch, which is NOT thread-safe).
 struct AluPufBatchScratch {
-  timingsim::BatchState state;
   timingsim::BatchDelays delays;
-  std::vector<std::uint8_t> inputs;
   std::vector<support::Xoshiro256pp> lane_rngs;
-  // Bit-sliced path (BatchEngine::kBitslice / large kAuto batches).
   timingsim::BitSliceState slice;
   std::vector<std::uint64_t> input_words;
 };
@@ -109,12 +106,12 @@ class AluPuf {
                    support::Xoshiro256pp& rng,
                    const ClockConstraint* clock = nullptr) const;
 
-  /// Batched physical evaluation over the SoA engine, restricted to the
-  /// arbiter cones.  Statistically equivalent to `count` scalar `eval`
-  /// calls, with a documented RNG contract instead of stream-for-stream
-  /// equality: the batch consumes exactly one `rng.next()` (its
-  /// batch_seed), and lane x then draws ALL of its randomness from the
-  /// derived generator
+  /// Batched physical evaluation over the lane-delay bit-sliced engine,
+  /// restricted to the arbiter cones.  Statistically equivalent to `count`
+  /// scalar `eval` calls, with a documented RNG contract instead of
+  /// stream-for-stream equality: the batch consumes exactly one
+  /// `rng.next()` (its batch_seed), and lane x then draws ALL of its
+  /// randomness from the derived generator
   ///   Xoshiro256pp(SplitMix64::mix(batch_seed + kGolden * (x + 1)))
   /// (kGolden = 0x9E3779B97F4A7C15): first one noise deviate per gate in
   /// gate order via the fast ziggurat sampler (gaussian_fast; zero-delay
@@ -130,16 +127,15 @@ class AluPuf {
   ///
   /// `engine` selects the timing kernel only.  The batch_seed draw, the
   /// delay realization and the arbiter sweep are engine-independent, and
-  /// all engines compute the same settle-time doubles (the repo's
+  /// both engines compute the same settle-time doubles (the repo's
   /// exactness contract), so responses are byte-identical across engines.
-  /// kAuto routes to the bit-sliced engine at >= kBitsliceMinLanes lanes
-  /// and to the SoA engine below.
   std::vector<RawResponse> eval_batch(
       const Challenge* challenges, std::size_t count,
       const variation::Environment& env, support::Xoshiro256pp& rng,
       const ClockConstraint* clock = nullptr,
       AluPufBatchScratch* scratch = nullptr,
-      timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto) const;
+      timingsim::BatchEngine engine =
+          timingsim::BatchEngine::kBitslice) const;
 
   /// Warms the per-env nominal-delay cache so that subsequent const
   /// evaluations at `env` are read-only (required before sharing *this
@@ -220,21 +216,22 @@ class AluPufEmulator {
 
   /// Batched deterministic emulation: bit-identical to `count` `eval`
   /// calls (the emulator is noise-free, so there is no RNG contract to
-  /// negotiate — every engine computes the same doubles).  The emulator's
+  /// negotiate — both engines compute the same doubles).  The emulator's
   /// delays are shared across lanes, so kBitslice here uses the
-  /// shared-delay BitSliceEngine with its time-representation shortcuts
-  /// (the fastest fleet-emulation path).
+  /// shared-delay BitSliceEngine with its time-representation shortcuts.
   std::vector<RawResponse> eval_batch(
       const Challenge* challenges, std::size_t count,
       const variation::Environment& env = variation::Environment::nominal(),
-      timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto) const;
+      timingsim::BatchEngine engine =
+          timingsim::BatchEngine::kBitslice) const;
 
   /// Batched soft responses: `out` is resized to count*width, challenge x's
   /// LLRs at `out[x*width .. (x+1)*width)`.  Bit-identical to eval_soft.
   void eval_soft_batch(
       const Challenge* challenges, std::size_t count, std::vector<double>& out,
       const variation::Environment& env = variation::Environment::nominal(),
-      timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto) const;
+      timingsim::BatchEngine engine =
+          timingsim::BatchEngine::kBitslice) const;
 
   /// Warms the per-env delay cache and the shared-delay bit-sliced engine
   /// (see AluPuf::prewarm).
@@ -255,13 +252,12 @@ class AluPufEmulator {
   /// built on first use per operating point.
   const timingsim::BitSliceEngine& slice_for(
       const variation::Environment& env) const;
-  /// Runs the kBatch or kBitslice kernel (kAuto resolved by lane count)
-  /// into batch_state_ / slice_state_; returns the engine that ran.
-  /// kScalar never reaches here — callers loop the scalar path themselves.
-  timingsim::BatchEngine run_batch(const Challenge* challenges,
-                                   std::size_t count,
-                                   const variation::Environment& env,
-                                   timingsim::BatchEngine engine) const;
+  /// Runs the shared-delay bit-sliced kernel into slice_state_ and returns
+  /// its engine.  The kScalar path never reaches here — callers loop the
+  /// scalar evaluation themselves.
+  const timingsim::BitSliceEngine& run_slice(
+      const Challenge* challenges, std::size_t count,
+      const variation::Environment& env) const;
   void check_batch(const Challenge* challenges, std::size_t count) const;
 
   std::size_t width_;
@@ -271,13 +267,11 @@ class AluPufEmulator {
   mutable bool has_cache_ = false;
   mutable timingsim::DelaySet cached_delays_;
   /// Shared-delay bit-sliced engine over the cached DelaySet: dropped with
-  /// the cache, built by the first bit-sliced run at that operating point
+  /// the cache, built by the first batched run at that operating point
   /// (prewarm builds it too, keeping post-prewarm evaluation read-only for
   /// thread sharing).
   mutable std::unique_ptr<timingsim::BitSliceEngine> cached_slice_;
   mutable std::vector<timingsim::SignalState> scratch_states_;
-  mutable timingsim::BatchState batch_state_;
-  mutable std::vector<std::uint8_t> batch_inputs_;
   mutable timingsim::BitSliceState slice_state_;
   mutable std::vector<std::uint64_t> slice_words_;
 };

@@ -27,9 +27,8 @@ inline bool word_bit(const std::uint64_t* words, std::size_t lane) {
 
 obs::Span trace_bitslice(std::size_t lanes, std::size_t gates) {
   if (!obs::global_trace_enabled()) return obs::Span{};
-  // Same occupancy counters as the SoA run_batch hook — sim.lanes /
-  // sim.batches is the mean batch fill regardless of which batched engine
-  // served it — plus an engine-distinguishing span name for trace-report.
+  // Occupancy counters: sim.lanes / sim.batches is the mean batch fill,
+  // the number the batched engine's speedup lives or dies by.
   auto& registry = obs::global_registry();
   static obs::Counter& batches = registry.counter("sim.batches");
   static obs::Counter& lane_count = registry.counter("sim.lanes");
@@ -159,14 +158,15 @@ void xor2_avx(const SrcV& va, const SrcV& vb, const std::uint8_t* mva,
 
 // ------------------------------------------------------ wide time kernels
 //
-// Every kernel reproduces the SoA batch kernel's per-lane operation order
+// Every kernel reproduces the scalar engine's per-gate operation order
 // exactly (same selections, same single add), so the produced doubles are
-// bit-identical to run_batch and the scalar engine.  The AVX-512 paths use
-// only min/max/compare/blend/add — all exact selections — and the scalar
-// tails repeat the identical expressions, so vector and tail lanes agree
-// too.  kLane = per-lane delays (device batches); shared mode processes
-// the padded tail lanes as well (inputs are zero-filled there and nothing
-// exposes them), which keeps its loop a clean multiple of the word size.
+// bit-identical to TimingSimulator::run.  The AVX-512 paths use only
+// min/max/compare/blend/add — all exact selections — and the scalar tails
+// repeat the identical expressions, so vector and tail lanes agree too.
+// kLane = per-lane delays (device batches); shared mode processes the
+// padded tail lanes as well (inputs are zero-filled there and nothing
+// exposes them), which keeps its loop a clean multiple of the vector
+// width.
 
 /// Portable per-lane bodies over [start, limit): the scalar reference for
 /// the vector kernels (identical expressions), the non-multiple-of-8 tail
@@ -1076,7 +1076,7 @@ void BitSliceEngine::prepare(BitSliceState& out, std::size_t count) const {
   const std::size_t n = cn_->num_gates();
   out.count = count;
   out.nwords = (count + 63) / 64;
-  out.padded = out.nwords * 64;
+  out.padded = (count + 7) & ~std::size_t{7};
   // Re-zeroing a same-size buffer is wasted work: the value pass rewrites
   // every scheduled gate's words, and gates outside the schedule (or
   // kConst0) are never written after the first zero-fill, so they still

@@ -1,9 +1,9 @@
 // Bit-sliced fleet evaluation: 64 evaluations ("lanes") per machine word.
 //
-// The third evaluation path beside the scalar engine and the SoA
-// `run_batch`.  Logic VALUES are packed 64 lanes per `uint64_t`, so every
-// word operation of the value pass evaluates one gate for 64 devices or
-// challenges at once.  Settle TIMES are real numbers and cannot be
+// The batch evaluation path beside the scalar engine (TimingSimulator::run,
+// the exactness oracle).  Logic VALUES are packed 64 lanes per `uint64_t`,
+// so every word operation of the value pass evaluates one gate for 64
+// devices or challenges at once.  Settle TIMES are real numbers and cannot be
 // bit-sliced without giving up the repo's exactness contract (engines must
 // agree double-for-double so near-tie races decide identically), so the
 // time pass keeps per-lane doubles — but classifies every gate's time
@@ -17,9 +17,9 @@
 //                 lane times from two broadcasts and the value word.  In
 //                 the ALU PUF adders every input-fed XOR/AND classifies
 //                 this way.
-//   * kWideT    — genuinely lane-dependent; 64 doubles per word of lanes,
-//                 computed with exactly the SoA kernels' operation order
-//                 (same min/max/add sequence per lane => identical
+//   * kWideT    — genuinely lane-dependent; one double per lane,
+//                 computed with exactly the scalar engine's operation
+//                 order (same min/max/add sequence per lane => identical
 //                 doubles => identical arbiter decisions).
 //
 // Classification happens once per (netlist, shared DelaySet) by
@@ -50,18 +50,12 @@
 namespace pufatt::timingsim {
 
 /// Evaluation-engine selector for batch entry points (AluPuf /
-/// AluPufEmulator / PufDevice / gen-crps).  All four produce identical
-/// doubles and therefore identical responses; they differ only in speed.
+/// AluPufEmulator / PufDevice / gen-crps).  Both produce identical doubles
+/// and therefore identical responses; they differ only in speed.
 enum class BatchEngine : std::uint8_t {
-  kAuto,      ///< bit-sliced when the batch fills a word, SoA otherwise
-  kScalar,    ///< one scalar `run` per lane (reference path)
-  kBatch,     ///< SoA `run_batch`
+  kScalar,    ///< one scalar `run` per lane (the exactness oracle)
   kBitslice,  ///< BitSliceEngine
 };
-
-/// Batches at/above this lane count route to the bit-sliced engine under
-/// BatchEngine::kAuto.
-inline constexpr std::size_t kBitsliceMinLanes = 64;
 
 /// Packs `count` challenges into transposed lane words:
 /// `out[i*nwords + w]` holds input bit i of lanes [w*64, w*64+64), lane l
@@ -73,12 +67,13 @@ void pack_input_words(const support::BitVector* challenges, std::size_t count,
 /// Result of one bit-sliced run.  Value words for every gate; wide time
 /// lanes only for gates the engine classified kWideT (slot-indexed — read
 /// through the engine's accessors, which know each gate's representation).
-/// Gates outside the observed cone read as value 0 / time 0 like
-/// BatchState.
+/// Gates outside the observed cone read as value 0 / time 0.
 struct BitSliceState {
   std::size_t count = 0;   ///< live lanes
   std::size_t nwords = 0;  ///< ceil(count/64)
-  std::size_t padded = 0;  ///< nwords * 64 (wide-lane stride)
+  /// Wide-lane stride: `count` rounded up to 8 (one AVX-512 vector of
+  /// doubles), so an 8-lane PUF call computes 8 time lanes, not 64.
+  std::size_t padded = 0;
   std::vector<std::uint64_t> values;  ///< [gate*nwords + w]
   std::vector<double> times;          ///< [wide_slot*padded + lane]
   /// Engine that last filled this state.  Same engine + same shape lets a

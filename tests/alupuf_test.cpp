@@ -290,7 +290,7 @@ TEST(AluPufTopology, EmulatedAndSoftResponsesArePinned) {
     mix_doubles(emulator.eval_soft(c));
   }
   for (const auto engine :
-       {timingsim::BatchEngine::kBatch, timingsim::BatchEngine::kBitslice}) {
+       {timingsim::BatchEngine::kScalar, timingsim::BatchEngine::kBitslice}) {
     for (const auto& r :
          emulator.eval_batch(challenges.data(), challenges.size(),
                              Environment::nominal(), engine)) {

@@ -145,80 +145,6 @@ TEST_P(RandomCircuit, UniformDelayScalingScalesTimes) {
   }
 }
 
-TEST_P(RandomCircuit, BatchEngineBitIdenticalToScalar) {
-  // The SoA batch kernel must produce exactly the scalar engine's doubles:
-  // same operations in the same order per lane, so == not NEAR.
-  Xoshiro256pp rng(5000 + GetParam());
-  const auto net = random_circuit(8, 70, rng);
-  timingsim::TimingSimulator sim(net);
-  timingsim::DelaySet delays;
-  delays.rise_ps.resize(net.num_gates());
-  delays.fall_ps.resize(net.num_gates());
-  for (std::size_t g = 0; g < net.num_gates(); ++g) {
-    delays.rise_ps[g] = rng.uniform(1.0, 30.0);
-    delays.fall_ps[g] = rng.uniform(1.0, 30.0);
-  }
-  const std::size_t batch = 1 + rng.uniform_u64(40);
-  std::vector<BitVector> challenges;
-  for (std::size_t b = 0; b < batch; ++b) {
-    challenges.push_back(BitVector::random(net.num_inputs(), rng));
-  }
-  std::vector<std::uint8_t> lanes;
-  timingsim::pack_input_lanes(challenges.data(), batch, net.num_inputs(),
-                              lanes);
-  timingsim::BatchState out;
-  sim.run_batch(lanes.data(), batch, delays, out);
-  std::vector<timingsim::SignalState> states;
-  for (std::size_t b = 0; b < batch; ++b) {
-    sim.run(challenges[b], delays, states);
-    for (std::size_t g = 0; g < net.num_gates(); ++g) {
-      ASSERT_EQ(out.value(static_cast<GateId>(g), b), states[g].value);
-      ASSERT_EQ(out.time_ps(static_cast<GateId>(g), b), states[g].time_ps);
-    }
-  }
-}
-
-TEST_P(RandomCircuit, PerLaneDelaysMatchScalarPerLane) {
-  // BatchDelays mode: every lane carries its own delay realization and
-  // must equal a scalar run with that realization.
-  Xoshiro256pp rng(6000 + GetParam());
-  const auto net = random_circuit(6, 50, rng);
-  timingsim::TimingSimulator sim(net);
-  const std::size_t batch = 1 + rng.uniform_u64(12);
-  std::vector<timingsim::DelaySet> per_lane(batch);
-  timingsim::BatchDelays batch_delays;
-  batch_delays.batch = batch;
-  batch_delays.rise_ps.resize(net.num_gates() * batch);
-  batch_delays.fall_ps.resize(net.num_gates() * batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    per_lane[b].rise_ps.resize(net.num_gates());
-    per_lane[b].fall_ps.resize(net.num_gates());
-    for (std::size_t g = 0; g < net.num_gates(); ++g) {
-      per_lane[b].rise_ps[g] = rng.uniform(1.0, 20.0);
-      per_lane[b].fall_ps[g] = rng.uniform(1.0, 20.0);
-      batch_delays.rise_ps[g * batch + b] = per_lane[b].rise_ps[g];
-      batch_delays.fall_ps[g * batch + b] = per_lane[b].fall_ps[g];
-    }
-  }
-  std::vector<BitVector> challenges;
-  for (std::size_t b = 0; b < batch; ++b) {
-    challenges.push_back(BitVector::random(net.num_inputs(), rng));
-  }
-  std::vector<std::uint8_t> lanes;
-  timingsim::pack_input_lanes(challenges.data(), batch, net.num_inputs(),
-                              lanes);
-  timingsim::BatchState out;
-  sim.run_batch(lanes.data(), batch, batch_delays, out);
-  std::vector<timingsim::SignalState> states;
-  for (std::size_t b = 0; b < batch; ++b) {
-    sim.run(challenges[b], per_lane[b], states);
-    for (std::size_t g = 0; g < net.num_gates(); ++g) {
-      ASSERT_EQ(out.value(static_cast<GateId>(g), b), states[g].value);
-      ASSERT_EQ(out.time_ps(static_cast<GateId>(g), b), states[g].time_ps);
-    }
-  }
-}
-
 TEST_P(RandomCircuit, ScalarInputOverloadsAgree) {
   // BitVector, vector<bool> and raw uint8_t* inputs are the same engine.
   Xoshiro256pp rng(7000 + GetParam());
@@ -290,18 +216,28 @@ TEST_P(RandomCircuit, BitSliceSharedModeBitIdenticalToScalar) {
 
 TEST_P(RandomCircuit, BitSliceLaneModeBitIdenticalToBatch) {
   // Lane-delay mode: every lane carries its own delay realization and must
-  // reproduce the SoA batch engine bit-for-bit.
+  // equal a scalar run with that realization, == not NEAR.  Batches up to
+  // 100 lanes cover sub-vector, multi-word and ragged-tail shapes.
   Xoshiro256pp rng(9000 + GetParam());
   const auto net = random_circuit(6, 50, rng);
   timingsim::TimingSimulator sim(net);
   const timingsim::BitSliceEngine slice(sim.compiled());
   const std::size_t batch = 1 + rng.uniform_u64(100);
+  std::vector<timingsim::DelaySet> per_lane(batch);
   timingsim::BatchDelays delays;
   delays.batch = batch;
   delays.rise_ps.resize(net.num_gates() * batch);
   delays.fall_ps.resize(net.num_gates() * batch);
-  for (auto& d : delays.rise_ps) d = rng.uniform(1.0, 20.0);
-  for (auto& d : delays.fall_ps) d = rng.uniform(1.0, 20.0);
+  for (std::size_t b = 0; b < batch; ++b) {
+    per_lane[b].rise_ps.resize(net.num_gates());
+    per_lane[b].fall_ps.resize(net.num_gates());
+    for (std::size_t g = 0; g < net.num_gates(); ++g) {
+      per_lane[b].rise_ps[g] = rng.uniform(1.0, 20.0);
+      per_lane[b].fall_ps[g] = rng.uniform(1.0, 20.0);
+      delays.rise_ps[g * batch + b] = per_lane[b].rise_ps[g];
+      delays.fall_ps[g * batch + b] = per_lane[b].fall_ps[g];
+    }
+  }
   std::vector<BitVector> challenges;
   for (std::size_t b = 0; b < batch; ++b) {
     challenges.push_back(BitVector::random(net.num_inputs(), rng));
@@ -311,17 +247,14 @@ TEST_P(RandomCircuit, BitSliceLaneModeBitIdenticalToBatch) {
                               words);
   timingsim::BitSliceState out;
   slice.run(words.data(), batch, delays, out);
-  std::vector<std::uint8_t> lanes;
-  timingsim::pack_input_lanes(challenges.data(), batch, net.num_inputs(),
-                              lanes);
-  timingsim::BatchState soa;
-  sim.run_batch(lanes.data(), batch, delays, soa);
-  for (std::size_t g = 0; g < net.num_gates(); ++g) {
-    const auto id = static_cast<GateId>(g);
-    for (std::size_t b = 0; b < batch; ++b) {
-      ASSERT_EQ(slice.value(out, id, b), soa.value(id, b) != 0)
+  std::vector<timingsim::SignalState> states;
+  for (std::size_t b = 0; b < batch; ++b) {
+    sim.run(challenges[b], per_lane[b], states);
+    for (std::size_t g = 0; g < net.num_gates(); ++g) {
+      const auto id = static_cast<GateId>(g);
+      ASSERT_EQ(slice.value(out, id, b), states[g].value)
           << "gate " << g << " lane " << b;
-      ASSERT_EQ(slice.time_ps(out, id, b), soa.time_ps(id, b))
+      ASSERT_EQ(slice.time_ps(out, id, b), states[g].time_ps)
           << "gate " << g << " lane " << b;
     }
   }

@@ -327,21 +327,6 @@ TEST(CompiledNetlist, ObservedConeDropsUnreachableGates) {
   EXPECT_FALSE(compiled.active(b));
   EXPECT_FALSE(compiled.active(y));
   EXPECT_EQ(compiled.num_active(), 2u);
-
-  // The batch engine leaves non-cone lanes zeroed.
-  TimingSimulator sim(net, {x});
-  DelaySet delays;
-  delays.rise_ps.assign(net.num_gates(), 1.0);
-  delays.fall_ps.assign(net.num_gates(), 1.0);
-  const std::uint8_t lanes[] = {0, 1,   // input a
-                                1, 0};  // input b
-  BatchState out;
-  sim.run_batch(lanes, 2, delays, out);
-  EXPECT_TRUE(out.value(x, 0));
-  EXPECT_FALSE(out.value(x, 1));
-  EXPECT_FALSE(out.value(y, 0));
-  EXPECT_EQ(out.time_ps(y, 0), 0.0);
-  EXPECT_EQ(out.time_ps(y, 1), 0.0);
 }
 
 TEST(TimingSim, RejectsPermutedInputOrder) {
@@ -355,18 +340,6 @@ TEST(TimingSim, RejectsPermutedInputOrder) {
   EXPECT_NO_THROW(TimingSimulator{net});
   net.reorder_inputs({1, 0});
   EXPECT_THROW(TimingSimulator{net}, std::invalid_argument);
-}
-
-TEST(TimingSim, BatchRejectsBadDelayShape) {
-  Netlist net;
-  const GateId a = net.add_input("a");
-  net.add_output("o", net.add_gate(GateKind::kNot, {a}));
-  TimingSimulator sim(net);
-  const std::uint8_t lanes[] = {0, 1};
-  BatchState out;
-  BatchDelays delays;  // wrong batch / sizes
-  delays.batch = 3;
-  EXPECT_THROW(sim.run_batch(lanes, 2, delays, out), std::invalid_argument);
 }
 
 // ---------------------------------------------------- bit-sliced engine
@@ -409,6 +382,8 @@ TEST(BitSlice, SharedModeMatchesScalarOnAluCircuit) {
 }
 
 TEST(BitSlice, LaneDelayModeMatchesRunBatch) {
+  // Every lane carries its own delay realization and must equal a scalar
+  // run over that lane's column of the delay matrix.
   const auto circuit = netlist::build_alu_puf_circuit(8);
   const variation::ChipInstance chip(circuit.net, {}, {}, 1234);
   const auto base = chip.nominal_delays(variation::Environment::nominal());
@@ -439,17 +414,64 @@ TEST(BitSlice, LaneDelayModeMatchesRunBatch) {
   BitSliceState out;
   slice.run(words.data(), count, delays, out);
 
-  std::vector<std::uint8_t> lanes;
-  pack_input_lanes(challenges.data(), count, circuit.net.num_inputs(), lanes);
-  BatchState soa;
-  sim.run_batch(lanes.data(), count, delays, soa);
-  for (std::size_t g = 0; g < gates; ++g) {
-    const auto id = static_cast<GateId>(g);
+  DelaySet lane;
+  lane.rise_ps.resize(gates);
+  lane.fall_ps.resize(gates);
+  std::vector<SignalState> states;
+  for (std::size_t b = 0; b < count; ++b) {
+    for (std::size_t g = 0; g < gates; ++g) {
+      lane.rise_ps[g] = delays.rise_ps[g * count + b];
+      lane.fall_ps[g] = delays.fall_ps[g * count + b];
+    }
+    sim.run(challenges[b], lane, states);
+    for (std::size_t g = 0; g < gates; ++g) {
+      const auto id = static_cast<GateId>(g);
+      ASSERT_EQ(slice.value(out, id, b), states[g].value)
+          << "gate " << g << " lane " << b;
+      ASSERT_EQ(slice.time_ps(out, id, b), states[g].time_ps)
+          << "gate " << g << " lane " << b;
+    }
+  }
+}
+
+TEST(BitSlice, SharedModeStrideIsLiveLanesRoundedToEight) {
+  // The wide-time stride is the live lane count rounded up to one AVX-512
+  // vector, so an 8-lane PUF() call computes 8 time lanes, not 64.  Every
+  // count from 1 to 130 (sub-vector, word edges, ragged multi-word tails)
+  // must keep the exactness contract on the arbiter cone the verifier
+  // emulates, and size the wide lanes by that stride.
+  const auto circuit = netlist::build_alu_puf_circuit(32);
+  const variation::ChipInstance chip(circuit.net, {}, {}, 4321);
+  const auto delays = chip.nominal_delays(variation::Environment::nominal());
+  std::vector<GateId> observed(circuit.race0.begin(), circuit.race0.end());
+  observed.insert(observed.end(), circuit.race1.begin(), circuit.race1.end());
+  const TimingSimulator cone(circuit.net, observed);
+  const BitSliceEngine slice(cone.compiled(), delays);
+
+  support::Xoshiro256pp rng(95);
+  std::vector<support::BitVector> challenges;
+  for (std::size_t i = 0; i < 130; ++i) {
+    challenges.push_back(
+        support::BitVector::random(circuit.net.num_inputs(), rng));
+  }
+  std::vector<std::uint64_t> words;
+  BitSliceState out;  // reused across counts, as a verifier's state is
+  std::vector<SignalState> states;
+  for (std::size_t count = 1; count <= 130; ++count) {
+    pack_input_words(challenges.data(), count, circuit.net.num_inputs(),
+                     words);
+    slice.run(words.data(), count, out);
+    ASSERT_EQ(out.times.size(),
+              slice.num_wide() * ((count + 7) & ~std::size_t{7}))
+        << "count " << count;
     for (std::size_t b = 0; b < count; ++b) {
-      ASSERT_EQ(slice.value(out, id, b), soa.value(id, b) != 0)
-          << "gate " << g << " lane " << b;
-      ASSERT_EQ(slice.time_ps(out, id, b), soa.time_ps(id, b))
-          << "gate " << g << " lane " << b;
+      cone.run(challenges[b], delays, states);
+      for (const GateId g : observed) {
+        ASSERT_EQ(slice.value(out, g, b), states[g].value)
+            << "count " << count << " gate " << g << " lane " << b;
+        ASSERT_EQ(slice.time_ps(out, g, b), states[g].time_ps)
+            << "count " << count << " gate " << g << " lane " << b;
+      }
     }
   }
 }
