@@ -4,6 +4,7 @@
 // paper's methodology requires.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -13,6 +14,7 @@
 #include "swat/program.hpp"
 
 #include "alupuf/pipeline.hpp"
+#include "core/distributed.hpp"
 #include "core/enrollment.hpp"
 #include "core/protocol.hpp"
 #include "ecc/bch.hpp"
@@ -58,6 +60,25 @@ void BM_PufDeviceQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PufDeviceQuery);
+
+void BM_PufDeviceQueryRaw(benchmark::State& state) {
+  // The CPU PUF port's call: 8 raw challenges under the enrolled clock.
+  const auto profile = core::DistributedParams::small_profile();
+  const alupuf::PufDevice device(profile.puf_config, 1, rm5());
+  const auto record = core::enroll(
+      device, profile,
+      core::make_enrolled_image(profile, std::vector<std::uint32_t>(600, 5)));
+  const alupuf::ClockConstraint clock{1e6 / record.profile.base_clock_mhz,
+                                      20.0};
+  support::Xoshiro256pp rng(3);
+  const auto env = variation::Environment::nominal();
+  std::array<alupuf::Challenge, 8> challenges;
+  for (auto& c : challenges) c = support::BitVector::random(64, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(device.query_raw(challenges, env, rng, &clock));
+  }
+}
+BENCHMARK(BM_PufDeviceQueryRaw);
 
 void BM_PufEmulate(benchmark::State& state) {
   const alupuf::PufDevice device(puf32(), 1, rm5());
@@ -114,6 +135,17 @@ void BM_SyndromeHelperReproduce(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SyndromeHelperReproduce);
+
+void BM_SyndromeGenerate(benchmark::State& state) {
+  // Helper data for one raw response: RM(1,5)'s 26-row parity check.
+  const ecc::SyndromeHelper helper(rm5());
+  support::Xoshiro256pp rng(7);
+  const auto y = support::BitVector::random(32, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(helper.generate(y));
+  }
+}
+BENCHMARK(BM_SyndromeGenerate);
 
 void BM_SwatChecksumNative(benchmark::State& state) {
   swat::SwatParams params;
@@ -178,6 +210,22 @@ void BM_FullAttestationRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullAttestationRoundTrip);
+
+void BM_CpuProverRespond(benchmark::State& state) {
+  // The live prover of a served fleet device: the small profile's 512
+  // SWAT rounds on the PR32 simulator with 8 PUF() calls.
+  const auto profile = core::DistributedParams::small_profile();
+  const alupuf::PufDevice device(profile.puf_config, 8, rm5());
+  const auto record = core::enroll(
+      device, profile,
+      core::make_enrolled_image(profile, std::vector<std::uint32_t>(600, 3)));
+  core::CpuProver prover(device, record, core::CpuProver::Variant::kHonest, 9);
+  support::Xoshiro256pp rng(10);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(prover.respond(core::AttestationRequest{rng.next()}));
+  }
+}
+BENCHMARK(BM_CpuProverRespond);
 
 void BM_VerifierColdBuild(benchmark::State& state) {
   // What an emulator-cache miss costs before its verdict: the Verifier

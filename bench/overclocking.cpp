@@ -6,6 +6,10 @@
 //      malware at each clock.
 // The paper's condition: T_ALU + T_set < T_cycle; the base clock is chosen
 // with minimal headroom so any useful overclock corrupts responses.
+//
+// Exit code: 1 unless the honest program is accepted at 1.00x and 1.05x,
+// rejected at every multiple >= 1.15x, and the redirect malware is never
+// accepted — the clock-constraint semantics of the prover's PUF path.
 #include <cstdio>
 
 #include "core/enrollment.hpp"
@@ -51,6 +55,7 @@ int main() {
                         "redirect malware"});
 
   const auto env = variation::Environment::nominal();
+  bool ok = true;
   for (const double mult : {1.0, 1.05, 1.1, 1.15, 1.2, 1.3, 1.5, 2.0, 2.5}) {
     const double mhz = base_mhz * mult;
     const alupuf::ClockConstraint clock{1e6 / mhz, 20.0};
@@ -85,15 +90,20 @@ int main() {
       const double elapsed =
           outcome.compute_us +
           channel.round_trip_us(8, outcome.response.wire_bytes());
-      return to_string(verifier.verify(request, outcome.response, elapsed).status);
+      return verifier.verify(request, outcome.response, elapsed).status;
     };
 
+    const auto honest = attempt(CpuProver::Variant::kHonest, 900 + mult * 10);
+    const auto malware =
+        attempt(CpuProver::Variant::kRedirectMalware, 950 + mult * 10);
+    const bool honest_accepted = honest == VerifyStatus::kAccepted;
+    if (mult <= 1.05 && !honest_accepted) ok = false;
+    if (mult >= 1.15 && honest_accepted) ok = false;
+    if (malware == VerifyStatus::kAccepted) ok = false;
     table.add_row({support::Table::num(mult, 2), support::Table::num(mhz, 0),
                    support::Table::num(1e6 / mhz - 20.0, 0),
-                   support::Table::num(weighted.mean(), 1),
-                   attempt(CpuProver::Variant::kHonest, 900 + mult * 10),
-                   attempt(CpuProver::Variant::kRedirectMalware,
-                           950 + mult * 10)});
+                   support::Table::num(weighted.mean(), 1), to_string(honest),
+                   to_string(malware)});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(
@@ -104,5 +114,8 @@ int main() {
       "verifier's weighted-distance budget (60 ps/call, ANDed over all 32\n"
       "PUF calls) then rejects the transcript: the paper's \"wrong\n"
       "responses from the ALU PUF\" failure mode.\n");
-  return 0;
+  std::printf("\n[%s] honest accepted at 1.00x/1.05x, rejected at >= 1.15x; "
+              "redirect malware never accepted\n",
+              ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
 }

@@ -135,7 +135,10 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
     eval_span.note("engine", static_cast<double>(engine));
   }
 
-  AluPufBatchScratch& ws = scratch != nullptr ? *scratch : batch_scratch_;
+  // A per-thread fallback rather than a per-instance member: a fleet of
+  // devices would otherwise each pin its own ~100 KiB of batch buffers.
+  thread_local AluPufBatchScratch thread_scratch;
+  AluPufBatchScratch& ws = scratch != nullptr ? *scratch : thread_scratch;
   const auto& nominal = nominal_for(env);
   const AluPufTopology& topo = *topology_;
   const auto& circuit = topo.circuit;

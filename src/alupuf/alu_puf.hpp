@@ -55,9 +55,10 @@ struct ClockConstraint {
   double setup_ps = 20.0;  ///< register setup time
 };
 
-/// Reusable per-worker scratch for AluPuf::eval_batch.  Threaded drivers
-/// allocate one per worker slot; single-threaded callers may pass nullptr
-/// (the PUF then uses an internal scratch, which is NOT thread-safe).
+/// Reusable scratch for AluPuf::eval_batch.  Callers that keep one per
+/// worker slot may pass it explicitly; passing nullptr uses a thread_local
+/// scratch of the calling thread, so no PUF instance carries one and
+/// concurrent calls on distinct prewarmed PUFs never share buffers.
 struct AluPufBatchScratch {
   timingsim::BatchDelays delays;
   std::vector<support::Xoshiro256pp> lane_rngs;
@@ -125,6 +126,10 @@ class AluPuf {
   /// (equally distributed) noise realization; deterministic drivers must
   /// keep batch boundaries fixed (see support/parallel.hpp).
   ///
+  /// `scratch` may be nullptr: the calling thread's own scratch is used
+  /// (see AluPufBatchScratch).  The prover's PUF() call
+  /// (PufDevice::query_raw) is one 8-lane batch.
+  ///
   /// `engine` selects the timing kernel only.  The batch_seed draw, the
   /// delay realization and the arbiter sweep are engine-independent, and
   /// both engines compute the same settle-time doubles (the repo's
@@ -185,7 +190,6 @@ class AluPuf {
   mutable timingsim::DelaySet cached_nominal_;
   mutable timingsim::DelaySet scratch_delays_;
   mutable std::vector<timingsim::SignalState> scratch_states_;
-  mutable AluPufBatchScratch batch_scratch_;  ///< used when caller passes none
 
   const timingsim::DelaySet& nominal_for(const variation::Environment& env) const;
   void check_challenge(const Challenge& challenge) const;

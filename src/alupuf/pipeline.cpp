@@ -54,14 +54,21 @@ PufOutput PufDevice::query_raw(
         challenges,
     const variation::Environment& env, support::Xoshiro256pp& rng,
     const ClockConstraint* clock) const {
-  std::array<BitVector, ObfuscationNetwork::kResponsesPerOutput> responses;
+  auto responses = puf_.eval_batch(challenges.data(), challenges.size(), env,
+                                   rng, clock);
+  return finish(responses.data());
+}
+
+PufOutput PufDevice::finish(RawResponse* responses) const {
+  constexpr std::size_t kPer = ObfuscationNetwork::kResponsesPerOutput;
+  std::array<BitVector, kPer> group;
   PufOutput out;
-  out.helpers.reserve(responses.size());
-  for (std::size_t r = 0; r < responses.size(); ++r) {
-    responses[r] = puf_.eval(challenges[r], env, rng, clock);
+  out.helpers.reserve(kPer);
+  for (std::size_t r = 0; r < kPer; ++r) {
     out.helpers.push_back(helper_.generate(responses[r]));
+    group[r] = std::move(responses[r]);
   }
-  out.z = obfuscation_.obfuscate(responses);
+  out.z = obfuscation_.obfuscate(group);
   return out;
 }
 
@@ -78,20 +85,12 @@ std::vector<PufOutput> PufDevice::query_batch(
         ChallengeExpander::expand(challenges[x], puf_.response_bits());
     for (auto& c : expanded) raw.push_back(std::move(c));
   }
-  const auto responses =
+  auto responses =
       puf_.eval_batch(raw.data(), raw.size(), env, rng, clock, scratch, engine);
   std::vector<PufOutput> outputs;
   outputs.reserve(count);
   for (std::size_t x = 0; x < count; ++x) {
-    std::array<BitVector, kPer> group;
-    PufOutput out;
-    out.helpers.reserve(kPer);
-    for (std::size_t r = 0; r < kPer; ++r) {
-      group[r] = responses[x * kPer + r];
-      out.helpers.push_back(helper_.generate(group[r]));
-    }
-    out.z = obfuscation_.obfuscate(group);
-    outputs.push_back(std::move(out));
+    outputs.push_back(finish(responses.data() + x * kPer));
   }
   return outputs;
 }

@@ -2,7 +2,8 @@
 //
 //   64-bit protocol challenge x
 //     -> ChallengeExpander -> 8 raw adder challenges
-//     -> AluPuf (physical race, noisy)           -> 8 raw responses y'_r
+//     -> AluPuf::eval_batch (8 noisy races, one  -> 8 raw responses y'_r
+//        8-lane bit-sliced pass)
 //     -> SyndromeHelper (per response)           -> 8 helper words h_r
 //     -> ObfuscationNetwork                      -> output z
 //
@@ -10,6 +11,12 @@
 // reconstructs each exact y'_r from its emulated reference and h_r, then
 // applies the identical obfuscation.  PUF() in the paper's protocol figure
 // corresponds to PufDevice::query / PufEmulator::emulate.
+//
+// Every prover path — query, query_raw (the CPU's PUF port) and
+// query_batch — evaluates its races through AluPuf::eval_batch and so
+// follows its RNG contract: one rng.next() per batch, lane noise derived
+// from it.  Scalar AluPuf::eval remains for CRP databases and as the
+// statistical oracle the batched responses are tested against.
 #pragma once
 
 #include <cstdint>
@@ -47,14 +54,17 @@ class PufDevice {
   PufDevice(const AluPufConfig& config, std::uint64_t chip_seed,
             const ecc::BinaryCode& code);
 
-  /// One PUF() call: 8 physical evaluations at `env`.
+  /// One PUF() call: 8 physical evaluations at `env`.  Equal to
+  /// `query_batch(&challenge, 1, env, rng, clock)`.
   PufOutput query(std::uint64_t challenge, const variation::Environment& env,
                   support::Xoshiro256pp& rng,
                   const ClockConstraint* clock = nullptr) const;
 
   /// Same, but with the 8 raw adder challenges supplied directly — the path
   /// the CPU's PUF port uses (each PUF-mode `add` carries one challenge in
-  /// its register operands).
+  /// its register operands).  The 8 races run as one 8-lane
+  /// AluPuf::eval_batch, consuming exactly one `rng.next()`; a bit whose
+  /// race misses the `clock` capture deadline latches a coin flip.
   PufOutput query_raw(
       const std::array<Challenge, ObfuscationNetwork::kResponsesPerOutput>&
           challenges,
@@ -85,6 +95,10 @@ class PufDevice {
   const AluPuf& raw_puf() const { return puf_; }
 
  private:
+  /// Helper data and obfuscation for one call's 8 raw responses (moved
+  /// from `responses[0..8)`).
+  PufOutput finish(RawResponse* responses) const;
+
   AluPuf puf_;
   ecc::SyndromeHelper helper_;
   ObfuscationNetwork obfuscation_;

@@ -74,6 +74,7 @@ VerifyResult Verifier::verify(const AttestationRequest& request,
       total_weighted_ps >
           max_avg_weighted_ps_ * static_cast<double>(expected.puf_calls)) {
     result.status = VerifyStatus::kPufReconstructionFailed;
+    result.over_weighted_budget = true;
     return result;
   }
   if (cursor != response.helper_words.size()) {

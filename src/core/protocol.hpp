@@ -56,6 +56,9 @@ struct VerifyResult {
   VerifyStatus status = VerifyStatus::kChecksumMismatch;
   double elapsed_us = 0.0;
   double deadline_us = 0.0;
+  /// With kPufReconstructionFailed: every PUF() call reconstructed, but
+  /// the whole-transcript weighted-distance budget was exceeded.
+  bool over_weighted_budget = false;
   bool accepted() const { return status == VerifyStatus::kAccepted; }
 };
 

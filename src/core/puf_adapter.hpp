@@ -25,9 +25,10 @@ support::BitVector helper_from_word(std::uint32_t word,
 
 /// cpu::PufPort backed by a physical PufDevice: collects the 8 PUF-mode
 /// `add` challenges, then runs the full pipeline (races, syndromes,
-/// obfuscation) on `pend`.  The capture deadline from the CPU clock is
-/// honoured per evaluation, so overclocking corrupts responses exactly as
-/// in Section 4.2 of the paper.
+/// obfuscation) on `pend` as one PufDevice::query_raw — one 8-lane
+/// eval_batch.  The capture deadline from the CPU clock is honoured per
+/// raced bit, so overclocking corrupts responses exactly as in Section 4.2
+/// of the paper.
 class DevicePufPort final : public cpu::PufPort {
  public:
   DevicePufPort(const alupuf::PufDevice& device, variation::Environment env,

@@ -146,6 +146,7 @@ SessionOutcome AttestationSession::run_impl(const Responder& responder,
 
     const VerifyResult result = verifier_->verify(request, received, elapsed);
     rec.verify = result.status;
+    rec.over_weighted_budget = result.over_weighted_budget;
     deadline_us = result.deadline_us;
     out.attempts.push_back(rec);
     note_attempt();

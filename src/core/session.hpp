@@ -72,6 +72,7 @@ struct AttemptRecord {
   bool response_corrupted = false;  ///< delivered but failed CRC/parse
   double elapsed_us = 0.0;  ///< what the verifier's clock measured
   std::optional<VerifyStatus> verify;  ///< set iff an intact frame was verified
+  bool over_weighted_budget = false;  ///< see VerifyResult
 };
 
 struct SessionOutcome {

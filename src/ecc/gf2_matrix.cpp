@@ -1,5 +1,7 @@
 #include "ecc/gf2_matrix.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 namespace pufatt::ecc {
@@ -24,9 +26,15 @@ BitVector Gf2Matrix::mul_vector(const BitVector& x) const {
   if (x.size() != cols_) {
     throw std::invalid_argument("Gf2Matrix::mul_vector: size mismatch");
   }
+  // Row AND-parity straight over the packed words: no temporary per row
+  // (the helper-data syndrome runs this once per raw PUF response).
+  const auto& xw = x.words();
   BitVector y(rows_.size());
   for (std::size_t r = 0; r < rows_.size(); ++r) {
-    y.set(r, (rows_[r] & x).parity());
+    const auto& rw = rows_[r].words();
+    std::uint64_t acc = 0;
+    for (std::size_t w = 0; w < xw.size(); ++w) acc ^= rw[w] & xw[w];
+    y.set(r, (std::popcount(acc) & 1) != 0);
   }
   return y;
 }

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <memory>
+#include <thread>
 
 #include "alupuf/alu_puf.hpp"
 #include "alupuf/arbiter_puf.hpp"
 #include "alupuf/obfuscation.hpp"
 #include "alupuf/pipeline.hpp"
+#include "ecc/helper_data.hpp"
 #include "ecc/reed_muller.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -798,6 +801,143 @@ TEST(AluPufBatch, DeviceQueryBatchMatchesObfuscationShape) {
     ASSERT_TRUE(z.has_value());
     EXPECT_EQ(*z, outs[i].z);
   }
+}
+
+// ------------------------------------------------------ prover batch path
+
+std::array<Challenge, 8> random_call(Xoshiro256pp& rng) {
+  std::array<Challenge, 8> call;
+  for (auto& c : call) c = random_challenge(32, rng);
+  return call;
+}
+
+TEST(PufDevice, QueryRawIsOneEvalBatch) {
+  // One PUF() call is one 8-lane eval_batch: exactly one rng.next(), then
+  // the same helper data and hardened obfuscation as the verifier applies.
+  const ecc::ReedMuller1 code(5);
+  const PufDevice device(small_config(32), 0x51, code);
+  const ecc::SyndromeHelper helper(code);
+  const ObfuscationNetwork obfuscation(32,
+                                       ObfuscationNetwork::Pairing::kHardened);
+  const auto env = Environment::nominal();
+  // A starved capture deadline, so the clocked pass exercises the
+  // setup-violation coin flips as well as the arbiter.
+  const ClockConstraint clock{device.raw_puf().max_settle_ps(env) * 0.5, 20.0};
+  Xoshiro256pp crng(0x52);
+  for (const ClockConstraint* c : {static_cast<const ClockConstraint*>(nullptr),
+                                   &clock}) {
+    for (int call = 0; call < 4; ++call) {
+      const auto challenges = random_call(crng);
+      Xoshiro256pp rng(0x53 + call);
+      Xoshiro256pp copy = rng;
+      Xoshiro256pp probe = rng;
+      const auto out = device.query_raw(challenges, env, rng, c);
+      probe.next();
+      EXPECT_EQ(rng.next(), probe.next()) << "call " << call;
+
+      auto raw = device.raw_puf().eval_batch(challenges.data(), 8, env, copy, c);
+      ASSERT_EQ(raw.size(), 8u);
+      ASSERT_EQ(out.helpers.size(), 8u);
+      std::array<BitVector, 8> group;
+      for (std::size_t r = 0; r < 8; ++r) {
+        EXPECT_EQ(out.helpers[r], helper.generate(raw[r]));
+        group[r] = raw[r];
+      }
+      EXPECT_EQ(out.z, obfuscation.obfuscate(group));
+    }
+  }
+}
+
+TEST(PufDevice, QueryMatchesSingleQueryBatch) {
+  const ecc::ReedMuller1 code(5);
+  const PufDevice device(small_config(32), 0x54, code);
+  const auto env = Environment::nominal();
+  const ClockConstraint clock{device.raw_puf().max_settle_ps(env) * 0.5, 20.0};
+  for (const ClockConstraint* c : {static_cast<const ClockConstraint*>(nullptr),
+                                   &clock}) {
+    for (std::uint64_t x : {0x0ULL, 0x55ULL, 0xFFFFFFFFFFFFFFFFULL}) {
+      Xoshiro256pp rng_a(0x56 + x);
+      Xoshiro256pp rng_b(0x56 + x);
+      const auto single = device.query(x, env, rng_a, c);
+      const auto batch = device.query_batch(&x, 1, env, rng_b, c);
+      ASSERT_EQ(batch.size(), 1u);
+      EXPECT_EQ(single.z, batch[0].z);
+      EXPECT_EQ(single.helpers, batch[0].helpers);
+      EXPECT_EQ(rng_a.next(), rng_b.next());
+    }
+  }
+}
+
+TEST(PufDevice, BatchedFlipRateMatchesScalar) {
+  // The prover's races ride the batch sampler, which is statistically
+  // equivalent to scalar eval but not stream-identical.  The intra-chip
+  // flip rate (bits differing between two readings of one challenge) of
+  // query_raw's raw responses — one 8-lane eval_batch per call, as
+  // QueryRawIsOneEvalBatch pins — must match scalar eval's over 2000
+  // challenges, within 4 binomial standard errors of the rate difference
+  // (~0.007 on a rate of ~0.11).  The rate is metastability-dominated:
+  // dropping the arbiter draw leaves ~0.02 from delay jitter alone, and a
+  // noise stream reused between the two readings leaves 0.
+  const AluPuf puf(small_config(32), 0x57);
+  const auto env = Environment::nominal();
+  Xoshiro256pp crng(0x58);
+  Xoshiro256pp batch_rng(0x59);
+  Xoshiro256pp scalar_rng(0x5A);
+  const std::size_t calls = 250;  // 2000 challenges
+  std::size_t batch_flips = 0;
+  std::size_t scalar_flips = 0;
+  for (std::size_t call = 0; call < calls; ++call) {
+    const auto challenges = random_call(crng);
+    const auto first = puf.eval_batch(challenges.data(), 8, env, batch_rng);
+    const auto second = puf.eval_batch(challenges.data(), 8, env, batch_rng);
+    for (std::size_t r = 0; r < 8; ++r) {
+      batch_flips += first[r].hamming_distance(second[r]);
+      scalar_flips += puf.eval(challenges[r], env, scalar_rng)
+                          .hamming_distance(
+                              puf.eval(challenges[r], env, scalar_rng));
+    }
+  }
+  const double bits = static_cast<double>(calls * 8 * 32);
+  const double batch_rate = static_cast<double>(batch_flips) / bits;
+  const double scalar_rate = static_cast<double>(scalar_flips) / bits;
+  const double pooled = (batch_rate + scalar_rate) / 2.0;
+  const double stderr_diff = std::sqrt(pooled * (1.0 - pooled) * 2.0 / bits);
+  EXPECT_GT(scalar_rate, 0.0);
+  EXPECT_NEAR(batch_rate, scalar_rate, 4.0 * stderr_diff)
+      << "batch " << batch_rate << " scalar " << scalar_rate;
+}
+
+TEST(AluPuf, NullScratchIsPerThread) {
+  // eval_batch with no caller scratch uses the calling thread's own
+  // buffers: two threads evaluating distinct prewarmed PUFs concurrently
+  // get exactly their single-threaded results (and TSan sees no race).
+  const auto env = Environment::nominal();
+  const AluPuf puf_a(small_config(32), 0x5B);
+  const AluPuf puf_b(small_config(32), 0x5C);
+  puf_a.prewarm(env);
+  puf_b.prewarm(env);
+  Xoshiro256pp crng(0x5D);
+  const auto challenges = random_call(crng);
+  const int rounds = 50;
+  const auto run = [&](const AluPuf& puf, std::uint64_t seed) {
+    Xoshiro256pp rng(seed);
+    std::vector<RawResponse> out;
+    for (int i = 0; i < rounds; ++i) {
+      for (auto& r : puf.eval_batch(challenges.data(), 8, env, rng)) {
+        out.push_back(std::move(r));
+      }
+    }
+    return out;
+  };
+  const auto expected_a = run(puf_a, 1);
+  const auto expected_b = run(puf_b, 2);
+  std::vector<RawResponse> got_a, got_b;
+  std::thread ta([&] { got_a = run(puf_a, 1); });
+  std::thread tb([&] { got_b = run(puf_b, 2); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(got_a, expected_a);
+  EXPECT_EQ(got_b, expected_b);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <optional>
 #include <set>
 
@@ -105,6 +106,29 @@ TEST(Gf2Matrix, MulVector) {
   const BitVector y = m.mul_vector(x);
   EXPECT_EQ(y.get(0), false);  // 1 ^ 1
   EXPECT_EQ(y.get(1), false);  // 0
+}
+
+TEST(Gf2Matrix, MulVectorMatchesRowAndParity) {
+  // The word-wise product must equal the per-row definition
+  // parity(row & x) bit for bit, on the parity checks that compute helper
+  // data: RM(1,5) (one word) and BCH codes of one and two words.
+  const ReedMuller1 rm(5);
+  const BchCode bch63(6, 3);
+  const BchCode bch127(7, 5);
+  Xoshiro256pp rng(0x6F2);
+  for (const BinaryCode* code :
+       std::initializer_list<const BinaryCode*>{&rm, &bch63, &bch127}) {
+    const Gf2Matrix& h = code->parity_check();
+    for (int trial = 0; trial < 200; ++trial) {
+      const auto x = BitVector::random(h.cols(), rng);
+      BitVector expected(h.rows());
+      for (std::size_t r = 0; r < h.rows(); ++r) {
+        expected.set(r, (h.row(r) & x).parity());
+      }
+      ASSERT_EQ(h.mul_vector(x), expected) << "n=" << code->n();
+      ASSERT_EQ(code->syndrome(x), expected);
+    }
+  }
 }
 
 TEST(Gf2Matrix, RaggedRowsRejected) {

@@ -95,6 +95,7 @@ TEST_F(ProtocolEdge, ExtraHelperWordsRejected) {
   const auto result = bed().verifier.verify(request, outcome.response,
                                             bed().elapsed(outcome));
   EXPECT_EQ(result.status, VerifyStatus::kPufReconstructionFailed);
+  EXPECT_FALSE(result.over_weighted_budget);
 }
 
 TEST_F(ProtocolEdge, EmptyTranscriptRejected) {
@@ -138,6 +139,13 @@ TEST_F(ProtocolEdge, TightWeightedBudgetRejectsHonest) {
   const auto result =
       strict.verify(request, outcome.response, bed().elapsed(outcome));
   EXPECT_EQ(result.status, VerifyStatus::kPufReconstructionFailed);
+  EXPECT_TRUE(result.over_weighted_budget);
+  // The default budget passes the same transcript: the flag names the
+  // whole-transcript budget, not a per-call reconstruction failure.
+  EXPECT_FALSE(bed()
+                   .verifier.verify(request, outcome.response,
+                                    bed().elapsed(outcome))
+                   .over_weighted_budget);
 }
 
 TEST_F(ProtocolEdge, RequestNoncesAreFresh) {

@@ -8,7 +8,9 @@
 #
 # Every tree runs the full ctest suite *including* the bench-labeled
 # smokes (service_throughput_smoke, sim_engine_smoke, micro_perf_smoke,
-# obs_overhead_smoke, net_throughput_smoke, attack_matrix_quick), so the
+# obs_overhead_smoke, net_throughput_smoke, attack_matrix_quick) and the
+# overclocking gate (honest accepted at 1.00x/1.05x, rejected from 1.15x,
+# redirect malware never accepted — the prover's clock-constraint path), so the
 # stable-schema BENCH_*.json writers and the tracing overhead gates are
 # exercised under each sanitizer too.  attack_matrix_quick runs the whole
 # adversary-lab roster (bench/attack_matrix --quick) with shrunk budgets
@@ -21,8 +23,9 @@
 # --engine=bitslice.  The TSan tree in particular covers the socket front end's
 # cross-thread seams — event-loop wakeups, pool-completion posts back onto
 # the loop thread, server/loadgen counter handoff (tests/net_test.cpp) —
-# and the shard workers' concurrent use of one prewarmed device through
-# the bit-sliced and scalar eval paths.
+# the shard workers' concurrent use of one prewarmed device through
+# the bit-sliced and scalar eval paths, and eval_batch's thread_local
+# fallback scratch (AluPuf.NullScratchIsPerThread).
 #
 # The plain (and sanitizer) trees also run the cross-process tracing
 # fixture trace_merge_pipeline: traced serve + traced loadgen as two OS

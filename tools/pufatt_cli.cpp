@@ -4,7 +4,7 @@
 //   pufatt-cli inspect <record.bin>                summarize a record
 //   pufatt-cli attest <chip-seed> <record.bin>     run one attestation
 //   pufatt-cli disasm <record.bin>                 list the attested program
-//   pufatt-cli serve-demo [workers] [sessions] [devices]
+//   pufatt-cli serve-demo [workers] [sessions] [devices] [--seed=S]
 //              [--trace-out=<f>] [--trace-jsonl=<f>] [--metrics-out=<f>]
 //              [--trace-sample=<r>]                 run the concurrent service
 //   pufatt-cli serve <endpoint> [--workers=N] [--queue=N] [--devices=N]
@@ -54,6 +54,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -109,6 +110,8 @@ int usage() {
                "       pufatt-cli attest <chip-seed> <record.bin>\n"
                "       pufatt-cli disasm <record.bin>\n"
                "       pufatt-cli serve-demo [workers] [sessions] [devices]\n"
+               "                  [--seed=<s>]                 fleet, "
+               "firmware and job seeds (default 0)\n"
                "                  [--trace-out=<trace.json>]   Chrome "
                "trace_event export\n"
                "                  [--trace-jsonl=<spans.jsonl>] line-oriented "
@@ -327,7 +330,8 @@ struct ServeDemoObs {
 // pool over a mildly lossy simulated radio and print the metrics.  One
 // device answers with a tampered image so the rejected path shows up too.
 int cmd_serve_demo(std::uint64_t workers, std::uint64_t sessions,
-                   std::uint64_t devices, const ServeDemoObs& obs_out) {
+                   std::uint64_t devices, std::uint64_t seed,
+                   const ServeDemoObs& obs_out) {
   if (workers == 0 || sessions == 0 || devices == 0) {
     std::fprintf(stderr, "error: workers, sessions and devices must be > 0\n");
     return usage();
@@ -336,7 +340,10 @@ int cmd_serve_demo(std::uint64_t workers, std::uint64_t sessions,
 
   std::printf("enrolling %llu devices...\n",
               static_cast<unsigned long long>(devices));
-  support::Xoshiro256pp rng(0x5E47EDE40);
+  // Seed 0 is the historical demo; any other seed shifts every chip,
+  // firmware and job stream to a fresh, equally honest fleet.
+  const std::uint64_t salt = seed << 32;
+  support::Xoshiro256pp rng(0x5E47EDE40 + seed);
   std::vector<std::uint32_t> firmware(600);
   for (auto& w : firmware) w = static_cast<std::uint32_t>(rng.next());
   const auto image = core::make_enrolled_image(profile, firmware);
@@ -351,7 +358,7 @@ int cmd_serve_demo(std::uint64_t workers, std::uint64_t sessions,
   for (std::uint64_t d = 0; d < devices; ++d) {
     fleet[d].id = "device-" + std::to_string(d);
     fleet[d].device = std::make_unique<alupuf::PufDevice>(
-        profile.puf_config, 0xD1CE0000 + d, code());
+        profile.puf_config, 0xD1CE0000 + d + salt, code());
     auto record = core::enroll(*fleet[d].device, profile, image);
     registry.store(fleet[d].id, record);
     fleet[d].record = std::move(record);
@@ -377,19 +384,39 @@ int cmd_serve_demo(std::uint64_t workers, std::uint64_t sessions,
     config.tracer = &obs::global_tracer();
   }
 
-  // Per-device accepted/rejected tallies, keyed by round-robin index.
+  // Per-device accepted/rejected tallies, keyed by round-robin index, and
+  // the check that rejected each honest session.
   struct Tally {
     std::uint64_t accepted = 0;
     std::uint64_t rejected = 0;
   };
+  enum Reason { kTime, kReconstruction, kWeightedBudget, kChecksum, kReasons };
   std::mutex tally_mutex;
   std::vector<Tally> tally(devices);
+  std::array<std::uint64_t, kReasons> honest_reasons{};
   service::VerifierPool pool(
       cache, config, [&](const service::JobResult& result) {
         std::lock_guard<std::mutex> lock(tally_mutex);
-        auto& t = tally[result.tag % devices];
+        const std::uint64_t d = result.tag % devices;
+        auto& t = tally[d];
         if (result.outcome == service::JobOutcome::kAccepted) ++t.accepted;
-        if (result.outcome == service::JobOutcome::kRejected) ++t.rejected;
+        if (result.outcome != service::JobOutcome::kRejected) return;
+        ++t.rejected;
+        if (d + 1 == devices) return;  // the tampered device
+        // Every rejected session has a verified attempt; the last one
+        // decided it.
+        const auto last = std::find_if(
+            result.session.attempts.rbegin(), result.session.attempts.rend(),
+            [](const core::AttemptRecord& a) { return a.verify.has_value(); });
+        if (last == result.session.attempts.rend()) return;
+        switch (*last->verify) {
+          case core::VerifyStatus::kTimeExceeded: ++honest_reasons[kTime]; break;
+          case core::VerifyStatus::kPufReconstructionFailed:
+            ++honest_reasons[last->over_weighted_budget ? kWeightedBudget
+                                                        : kReconstruction];
+            break;
+          default: ++honest_reasons[kChecksum]; break;
+        }
       });
 
   core::FaultParams faults;
@@ -402,8 +429,8 @@ int cmd_serve_demo(std::uint64_t workers, std::uint64_t sessions,
     service::AttestationJob job;
     job.device_id = target.id;
     job.faults = faults;
-    job.channel_seed = 0xC4A2 + 31 * s;
-    job.rng_seed = 0x9E0 + 17 * s;
+    job.channel_seed = 0xC4A2 + 31 * s + salt;
+    job.rng_seed = 0x9E0 + 17 * s + salt;
     job.tag = s;
     // Each job owns its prover (seeded per job): jobs never share mutable
     // prover state, and the same-device lease already serializes access to
@@ -472,12 +499,24 @@ int cmd_serve_demo(std::uint64_t workers, std::uint64_t sessions,
   const std::uint64_t infected_sessions = sessions / devices;
   const auto& infected_tally = tally.back();
   std::uint64_t honest_false_rejects = 0;
+  std::uint64_t worst = 0;
   for (std::uint64_t d = 0; d + 1 < devices; ++d) {
     honest_false_rejects += tally[d].rejected;
+    if (tally[d].rejected > tally[worst].rejected) worst = d;
   }
+  std::printf("\nhonest false rejections: %llu (reconstruction %llu, "
+              "weighted-distance budget %llu, checksum %llu, time %llu)\n",
+              static_cast<unsigned long long>(honest_false_rejects),
+              static_cast<unsigned long long>(honest_reasons[kReconstruction]),
+              static_cast<unsigned long long>(honest_reasons[kWeightedBudget]),
+              static_cast<unsigned long long>(honest_reasons[kChecksum]),
+              static_cast<unsigned long long>(honest_reasons[kTime]));
   if (honest_false_rejects > 0) {
-    std::printf("\nhonest false rejections (PUF noise): %llu\n",
-                static_cast<unsigned long long>(honest_false_rejects));
+    std::printf("most-rejected honest device: %s, %llu of %llu verdicts\n",
+                fleet[worst].id.c_str(),
+                static_cast<unsigned long long>(tally[worst].rejected),
+                static_cast<unsigned long long>(tally[worst].accepted +
+                                                tally[worst].rejected));
   }
   const bool infected_ok =
       infected_tally.accepted == 0 &&
@@ -1331,6 +1370,7 @@ int main(int argc, char** argv) {
     }
     if (cmd == "serve-demo") {
       ServeDemoObs obs_out;
+      std::uint64_t seed = 0;
       std::vector<const char*> positional;
       for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -1356,6 +1396,10 @@ int main(int argc, char** argv) {
               obs_out.trace_sample < 0.0 || obs_out.trace_sample > 1.0) {
             return bad_argument("sample rate (want [0,1])", value.c_str());
           }
+        } else if (flag == "--seed") {
+          if (!parse_u64(value.c_str(), seed)) {
+            return bad_argument("seed", value.c_str());
+          }
         } else {
           // An operator mistyping --trace-ot must get a hard error, not a
           // silently untraced run.
@@ -1374,7 +1418,7 @@ int main(int argc, char** argv) {
       if (positional.size() > 2 && !parse_u64(positional[2], devices)) {
         return bad_argument("device count", positional[2]);
       }
-      return cmd_serve_demo(workers, sessions, devices, obs_out);
+      return cmd_serve_demo(workers, sessions, devices, seed, obs_out);
     }
     if (cmd == "serve" || cmd == "loadgen" || cmd == "fleet-stats") {
       // Shared shape: one positional endpoint, then --key=value flags with
