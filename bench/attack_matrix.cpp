@@ -62,49 +62,19 @@ Gate advantage_gate(std::string name, double a, double bound) {
               /*upper=*/true};
 }
 
-TournamentConfig base_config(bool quick, std::size_t threads) {
-  TournamentConfig config;
-  if (quick) {
-    config.budgets = {256, 1024};
-    config.test_queries = 600;
-    config.replay_rounds = 16;
-  } else {
-    config.budgets = {1000, 4000, 12000};
-    config.test_queries = 2000;
-    config.replay_rounds = 40;
-  }
-  config.threads = threads;
-  config.seed = 0xA17AC4ULL;  // fixed matrix seed
-  return config;
-}
-
-LabParams lab_params(bool quick) {
-  LabParams params;
-  if (quick) {
-    params.logreg.epochs = 25;
-    params.mlp.epochs = 15;
-    params.cmaes.cmaes.max_generations = 80;
-    params.cmaes.cmaes.patience = 20;
-    params.cmaes.fitness_subsample = 2000;
-  } else {
-    params.logreg.epochs = 50;
-    params.mlp.epochs = 30;
-    params.cmaes.cmaes.max_generations = 160;
-    params.cmaes.cmaes.patience = 32;
-  }
-  return params;
-}
-
 TournamentResult run_matrix(bool quick, std::size_t threads) {
-  Tournament tournament(base_config(quick, threads));
-  add_standard_lab(tournament, lab_params(quick));
+  MatrixPreset preset = matrix_preset(quick);
+  preset.config.threads = threads;
+  Tournament tournament(preset.config);
+  add_standard_lab(tournament, preset.lab);
   return tournament.run();
 }
 
 /// Reduced ALU-backed sub-matrix under an explicit engine: the part of the
 /// lab where the timing kernel choice exists at all.
 std::string engine_submatrix_json(bool quick, timingsim::BatchEngine engine) {
-  TournamentConfig config = base_config(quick, /*threads=*/1);
+  const MatrixPreset preset = matrix_preset(quick);
+  TournamentConfig config = preset.config;
   config.budgets = {config.budgets.front()};
   config.engine = engine;
   Tournament tournament(config);
@@ -121,8 +91,7 @@ std::string engine_submatrix_json(bool quick, timingsim::BatchEngine engine) {
         p.engine = e;
         return make_obfuscated_alu_variant(p, chip);
       });
-  mlattack::LogRegParams lr = lab_params(quick).logreg;
-  tournament.add_attack(std::make_shared<LogRegAttack>(lr));
+  tournament.add_attack(std::make_shared<LogRegAttack>(preset.lab.logreg));
   return matrix_json(tournament.run());
 }
 

@@ -13,6 +13,7 @@
 #include "cpu/assembler.hpp"
 #include "swat/program.hpp"
 
+#include "adversary/logreg.hpp"
 #include "alupuf/pipeline.hpp"
 #include "core/distributed.hpp"
 #include "core/enrollment.hpp"
@@ -20,7 +21,6 @@
 #include "ecc/bch.hpp"
 #include "ecc/helper_data.hpp"
 #include "ecc/reed_muller.hpp"
-#include "mlattack/logreg.hpp"
 #include "swat/checksum.hpp"
 #include "timingsim/bitslice.hpp"
 
@@ -422,17 +422,17 @@ BENCHMARK(BM_EmulatorEvalSoftBatch);
 
 void BM_LogRegTrain(benchmark::State& state) {
   support::Xoshiro256pp rng(11);
-  std::vector<mlattack::Example> data;
+  std::vector<adversary::Example> data;
   for (int i = 0; i < 1000; ++i) {
-    mlattack::Example ex;
+    adversary::Example ex;
     for (int f = 0; f < 65; ++f) ex.features.push_back(rng.gaussian());
     ex.label = rng.bernoulli(0.5);
     data.push_back(std::move(ex));
   }
-  mlattack::LogRegParams params;
+  adversary::LogRegParams params;
   params.epochs = 5;
   for (auto _ : state) {
-    mlattack::LogisticRegression model(65);
+    adversary::LogisticRegression model(65);
     model.train(data, params, rng);
     benchmark::DoNotOptimize(model);
   }

@@ -8,10 +8,11 @@
 //      compared bitwise per net against the scalar engine);
 //   2. device level — AluPuf::eval vs eval_batch (per-lane noisy delays,
 //      the CRP-generation workload);
-//   3. CRP generation — collect_alu_raw_parallel at 1/2/4/8 threads with a
-//      dataset digest that must be invariant across thread counts;
+//   3. CRP generation — harvest_examples_parallel over the raw-bit ALU
+//      variant at 1/2/4/8 threads with a dataset digest that must be
+//      invariant across thread counts;
 //   4. CRP generation by engine — scalar vs bit-sliced kernels under
-//      collect_alu_raw_parallel, with a digest that must be invariant
+//      harvest_examples_parallel, with a digest that must be invariant
 //      across engines (engine choice must never move the dataset bytes).
 //
 // Results go to stdout and BENCH_sim_engine.json (same schema family as
@@ -34,8 +35,8 @@
 #include <thread>
 #include <vector>
 
+#include "adversary/variant.hpp"
 #include "alupuf/alu_puf.hpp"
-#include "mlattack/dataset.hpp"
 #include "netlist/builder.hpp"
 #include "support/table.hpp"
 #include "timingsim/bitslice.hpp"
@@ -60,7 +61,7 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
   return h;
 }
 
-std::uint64_t dataset_digest(const std::vector<mlattack::Example>& examples) {
+std::uint64_t dataset_digest(const std::vector<adversary::Example>& examples) {
   std::uint64_t h = 1469598103934665603ULL;
   for (const auto& e : examples) {
     const unsigned char label = e.label ? 1 : 0;
@@ -305,16 +306,23 @@ int main(int argc, char** argv) {
   }
 
   // ---- 3. shard-parallel CRP generation ---------------------------------
+  // Raw bit 0 of the same die (width 32, chip 777) as sweeps 1-2, one
+  // variant per timing engine.
+  const auto raw_bit0 = [&](timingsim::BatchEngine engine) {
+    return adversary::make_alu_raw_variant(
+        {.width = puf_config.width, .bit = 0, .engine = engine}, 777);
+  };
+  const auto crp_variant = raw_bit0(timingsim::BatchEngine::kBitslice);
   std::vector<ThreadPoint> thread_sweep;
   bool thread_invariant = true;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    mlattack::ParallelCrpConfig config;
+    adversary::ParallelCrpConfig config;
     config.threads = threads;
     config.block = crp_block;
     config.seed = 99;
     t0 = Clock::now();
     const auto dataset =
-        mlattack::collect_alu_raw_parallel(puf, 0, crp_count, config);
+        adversary::harvest_examples_parallel(*crp_variant, crp_count, config);
     ThreadPoint p;
     p.threads = threads;
     p.wall_s = seconds_since(t0);
@@ -335,19 +343,20 @@ int main(int argc, char** argv) {
   // best-of-N, 2 worker threads (the fleet-enrollment shape).
   std::vector<EnginePoint> engine_sweep = {{"scalar", 0.0, 0},
                                            {"bitslice", 0.0, 0}};
+  const auto scalar_variant = raw_bit0(timingsim::BatchEngine::kScalar);
   const int crp_reps = smoke ? 1 : 3;
   for (int rep = 0; rep < crp_reps; ++rep) {
     for (auto& point : engine_sweep) {
-      mlattack::ParallelCrpConfig config;
+      adversary::ParallelCrpConfig config;
       config.threads = 2;
       config.block = crp_block;
       config.seed = 99;
-      config.engine = std::strcmp(point.engine, "bitslice") == 0
-                          ? timingsim::BatchEngine::kBitslice
-                          : timingsim::BatchEngine::kScalar;
+      const auto& variant = std::strcmp(point.engine, "bitslice") == 0
+                                ? *crp_variant
+                                : *scalar_variant;
       t0 = Clock::now();
       const auto dataset =
-          mlattack::collect_alu_raw_parallel(puf, 0, crp_count, config);
+          adversary::harvest_examples_parallel(variant, crp_count, config);
       point.crps_per_s =
           std::max(point.crps_per_s, crp_count / seconds_since(t0));
       point.digest = dataset_digest(dataset);

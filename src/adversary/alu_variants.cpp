@@ -10,12 +10,36 @@
 #include "adversary/variant.hpp"
 #include "alupuf/pipeline.hpp"
 #include "ecc/reed_muller.hpp"
-#include "mlattack/dataset.hpp"
 
 namespace pufatt::adversary {
 
 using support::BitVector;
 using support::Xoshiro256pp;
+
+std::vector<double> alu_features(const BitVector& challenge) {
+  const std::size_t width = challenge.size() / 2;
+  std::vector<double> features;
+  features.reserve(challenge.size() + width + 1);
+  for (std::size_t i = 0; i < challenge.size(); ++i) {
+    features.push_back(challenge.get(i) ? 1.0 : -1.0);
+  }
+  for (std::size_t i = 0; i < width; ++i) {
+    const bool propagate = challenge.get(i) != challenge.get(width + i);
+    features.push_back(propagate ? 1.0 : -1.0);
+  }
+  features.push_back(1.0);
+  return features;
+}
+
+std::vector<double> word_features(std::uint64_t x) {
+  std::vector<double> features;
+  features.reserve(65);
+  for (unsigned i = 0; i < 64; ++i) {
+    features.push_back(((x >> i) & 1ULL) != 0 ? 1.0 : -1.0);
+  }
+  features.push_back(1.0);
+  return features;
+}
 
 namespace {
 
@@ -54,7 +78,7 @@ class AluRawBitVariant final : public PufVariant {
   std::size_t challenge_bits() const override { return puf_.challenge_bits(); }
 
   std::vector<double> features(const BitVector& challenge) const override {
-    return mlattack::alu_features(challenge);
+    return alu_features(challenge);
   }
 
   bool query(const BitVector& challenge, Xoshiro256pp& rng) const override {
@@ -131,7 +155,7 @@ class ObfuscatedAluVariant final : public PufVariant {
   std::size_t challenge_bits() const override { return 64; }
 
   std::vector<double> features(const BitVector& challenge) const override {
-    return mlattack::word_features(challenge.to_u64());
+    return word_features(challenge.to_u64());
   }
 
   bool query(const BitVector& challenge, Xoshiro256pp& rng) const override {

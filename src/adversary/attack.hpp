@@ -46,18 +46,6 @@ struct AttackRunConfig {
   std::size_t budget = 0;
   std::size_t test_queries = 2000;   ///< held-out CRPs (not budget-counted)
   std::size_t replay_rounds = 40;    ///< authentication trials (replay attack)
-  /// Surface replay: verifier calls (fresh nonces) per attestation session;
-  /// a forged session is accepted only if every call is.  Sessions matter
-  /// because per-call distance statistics cannot separate a good raw-access
-  /// forger from honest noise — model errors concentrate on exactly the
-  /// low-margin bits the physical device flips — but imperfection compounds
-  /// across calls while honest acceptance (~0.999 per call) does not.
-  std::size_t replay_session_calls = 4;
-  /// Generic-verifier replay: challenges per authentication round and the
-  /// accept threshold (fraction of mismatching bits), sitting between
-  /// honest noise and coin-flip forgeries.
-  std::size_t replay_challenges = 32;
-  double replay_threshold = 0.25;
 };
 
 class Attack {
@@ -81,12 +69,12 @@ class ModelAttack : public Attack {
 
  protected:
   virtual std::unique_ptr<Predictor> fit(
-      const std::vector<mlattack::Example>& train,
+      const std::vector<Example>& train,
       support::Xoshiro256pp& rng) const = 0;
 };
 
 /// Fraction of examples `model` classifies correctly.
 double predictor_accuracy(const Predictor& model,
-                          const std::vector<mlattack::Example>& examples);
+                          const std::vector<Example>& examples);
 
 }  // namespace pufatt::adversary

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mlattack/dataset.hpp"
-
 namespace pufatt::adversary {
 
 using support::BitVector;
 using support::Xoshiro256pp;
 
 double predictor_accuracy(const Predictor& model,
-                          const std::vector<mlattack::Example>& examples) {
+                          const std::vector<Example>& examples) {
   if (examples.empty()) return 0.0;
   std::size_t correct = 0;
   for (const auto& ex : examples) {
@@ -42,14 +40,14 @@ namespace {
 
 class LogRegPredictor final : public Predictor {
  public:
-  explicit LogRegPredictor(mlattack::LogisticRegression model)
+  explicit LogRegPredictor(LogisticRegression model)
       : model_(std::move(model)) {}
   bool predict(const std::vector<double>& features) const override {
     return model_.predict(features);
   }
 
  private:
-  mlattack::LogisticRegression model_;
+  LogisticRegression model_;
 };
 
 class MlpPredictor final : public Predictor {
@@ -82,15 +80,15 @@ class LinearPredictor final : public Predictor {
 }  // namespace
 
 std::unique_ptr<Predictor> LogRegAttack::fit(
-    const std::vector<mlattack::Example>& train, Xoshiro256pp& rng) const {
+    const std::vector<Example>& train, Xoshiro256pp& rng) const {
   const std::size_t dim = train.empty() ? 1 : train.front().features.size();
-  mlattack::LogisticRegression model(dim);
+  LogisticRegression model(dim);
   model.train(train, params_, rng);
   return std::make_unique<LogRegPredictor>(std::move(model));
 }
 
 std::unique_ptr<Predictor> MlpAttack::fit(
-    const std::vector<mlattack::Example>& train, Xoshiro256pp& rng) const {
+    const std::vector<Example>& train, Xoshiro256pp& rng) const {
   const std::size_t dim = train.empty() ? 1 : train.front().features.size();
   Mlp model(dim, params_.hidden_units, rng);
   model.train(train, params_, rng);
@@ -98,11 +96,11 @@ std::unique_ptr<Predictor> MlpAttack::fit(
 }
 
 std::unique_ptr<Predictor> CmaesAttack::fit(
-    const std::vector<mlattack::Example>& train, Xoshiro256pp& rng) const {
+    const std::vector<Example>& train, Xoshiro256pp& rng) const {
   const std::size_t dim = train.empty() ? 1 : train.front().features.size();
   // Deterministic subsample: a fixed-stride sweep keeps the fitness
   // function identical across runs without consuming rng state.
-  std::vector<const mlattack::Example*> sample;
+  std::vector<const Example*> sample;
   const std::size_t cap = std::max<std::size_t>(1, params_.fitness_subsample);
   const std::size_t stride = std::max<std::size_t>(1, train.size() / cap);
   for (std::size_t i = 0; i < train.size(); i += stride) {
@@ -129,9 +127,22 @@ std::unique_ptr<Predictor> CmaesAttack::fit(
 
 namespace {
 
+/// Surface replay: verifier calls (fresh nonces) per attestation session; a
+/// forged session is accepted only if every call is.  Sessions matter
+/// because per-call distance statistics cannot separate a good raw-access
+/// forger from honest noise — model errors concentrate on exactly the
+/// low-margin bits the physical device flips — but imperfection compounds
+/// across calls while honest acceptance (~0.999 per call) does not.
+constexpr std::size_t kReplaySessionCalls = 4;
+/// Generic-verifier replay: challenges per authentication round and the
+/// accept threshold (fraction of mismatching bits), sitting between honest
+/// noise and coin-flip forgeries.
+constexpr std::size_t kReplayChallenges = 32;
+constexpr double kReplayThreshold = 0.25;
+
 /// Invasive path: harvest raw CRPs, fit one LR model per raw response bit,
 /// forge full transcripts, let the real verifier judge.  One round is a
-/// whole attestation session — `replay_session_calls` fresh verifier nonces
+/// whole attestation session — kReplaySessionCalls fresh verifier nonces
 /// that must ALL be accepted.  The session structure is the defence that
 /// actually bites: per-call distance budgets are calibrated for honest
 /// noise, and a per-bit model's errors land on the same low-|LLR| bits the
@@ -141,7 +152,7 @@ namespace {
 /// untouched.
 AttackReport replay_against_surface(const AttestationSurface& surface,
                                     const AttackRunConfig& config,
-                                    const mlattack::LogRegParams& params,
+                                    const LogRegParams& params,
                                     Xoshiro256pp& rng) {
   AttackReport report;
   report.budget = config.budget;
@@ -154,20 +165,20 @@ AttackReport replay_against_surface(const AttestationSurface& surface,
   std::vector<std::vector<double>> features;
   features.reserve(crps.size());
   for (const auto& crp : crps) {
-    features.push_back(mlattack::alu_features(crp.challenge));
+    features.push_back(alu_features(crp.challenge));
   }
   const std::size_t dim = features.empty() ? 1 : features.front().size();
 
-  std::vector<mlattack::LogisticRegression> models;
+  std::vector<LogisticRegression> models;
   models.reserve(bits);
   double train_acc_sum = 0.0;
-  std::vector<mlattack::Example> dataset(crps.size());
+  std::vector<Example> dataset(crps.size());
   for (std::size_t b = 0; b < bits; ++b) {
     for (std::size_t i = 0; i < crps.size(); ++i) {
       dataset[i].features = features[i];
       dataset[i].label = crps[i].response.get(b);
     }
-    mlattack::LogisticRegression model(dim);
+    LogisticRegression model(dim);
     model.train(dataset, params, rng);
     train_acc_sum += model.accuracy(dataset);
     models.push_back(std::move(model));
@@ -175,7 +186,7 @@ AttackReport replay_against_surface(const AttestationSurface& surface,
   report.train_accuracy = bits == 0 ? 0.0 : train_acc_sum / bits;
 
   const RawResponder respond = [&models, bits](const BitVector& challenge) {
-    const auto phi = mlattack::alu_features(challenge);
+    const auto phi = alu_features(challenge);
     BitVector out(bits);
     for (std::size_t b = 0; b < bits; ++b) {
       out.set(b, models[b].predict(phi));
@@ -185,7 +196,7 @@ AttackReport replay_against_surface(const AttestationSurface& surface,
   std::size_t accepted = 0;
   for (std::size_t round = 0; round < config.replay_rounds; ++round) {
     bool session_ok = true;
-    for (std::size_t call = 0; call < config.replay_session_calls; ++call) {
+    for (std::size_t call = 0; call < kReplaySessionCalls; ++call) {
       // Every call draws its nonce even after a failure: the rng stream per
       // round must not depend on where the verifier bailed.
       if (!surface.replay_trial(respond, rng)) session_ok = false;
@@ -202,10 +213,10 @@ AttackReport replay_against_surface(const AttestationSurface& surface,
 
 /// Generic path: model the visible bit, then try to pass a threshold
 /// verifier that compares the model's answers against fresh device
-/// references (accept if at most `replay_threshold` of the bits differ —
+/// references (accept if at most kReplayThreshold of the bits differ —
 /// between honest noise and a coin-flip forgery).
 AttackReport replay_generic(PufVariant& device, const AttackRunConfig& config,
-                            const mlattack::LogRegParams& params,
+                            const LogRegParams& params,
                             Xoshiro256pp& rng) {
   AttackReport report;
   report.budget = config.budget;
@@ -215,7 +226,7 @@ AttackReport replay_generic(PufVariant& device, const AttackRunConfig& config,
   report.queries_used = oracle.used();
 
   const std::size_t dim = train.empty() ? 1 : train.front().features.size();
-  mlattack::LogisticRegression model(dim);
+  LogisticRegression model(dim);
   model.train(train, params, rng);
   report.train_accuracy = model.accuracy(train);
 
@@ -224,7 +235,7 @@ AttackReport replay_generic(PufVariant& device, const AttackRunConfig& config,
   std::size_t accepted = 0;
   for (std::size_t round = 0; round < config.replay_rounds; ++round) {
     std::size_t mismatched = 0;
-    for (std::size_t q = 0; q < config.replay_challenges; ++q) {
+    for (std::size_t q = 0; q < kReplayChallenges; ++q) {
       const BitVector challenge =
           BitVector::random(device.challenge_bits(), rng);
       const bool reference = device.query(challenge, rng);
@@ -232,11 +243,8 @@ AttackReport replay_generic(PufVariant& device, const AttackRunConfig& config,
         ++mismatched;
       }
     }
-    const double frac = config.replay_challenges == 0
-                            ? 1.0
-                            : static_cast<double>(mismatched) /
-                                  config.replay_challenges;
-    if (frac <= config.replay_threshold) ++accepted;
+    const double frac = static_cast<double>(mismatched) / kReplayChallenges;
+    if (frac <= kReplayThreshold) ++accepted;
   }
   report.replay_acceptance =
       config.replay_rounds == 0

@@ -1,7 +1,7 @@
 // The four attack columns of the matrix.
 //
 //  * LR      — logistic regression on the variant's feature map (Ruehrmair
-//              CCS'10), adapting mlattack::LogisticRegression.
+//              CCS'10), adapting LogisticRegression (adversary/logreg.hpp).
 //  * MLP     — one-hidden-layer perceptron (src/adversary/mlp.hpp); can
 //              express the XOR of a few halfspaces where LR cannot.
 //  * CMA-ES  — separable CMA-ES direct search over a linear additive-delay
@@ -24,16 +24,16 @@ namespace pufatt::adversary {
 
 class LogRegAttack final : public ModelAttack {
  public:
-  explicit LogRegAttack(const mlattack::LogRegParams& params = {})
+  explicit LogRegAttack(const LogRegParams& params = {})
       : params_(params) {}
   std::string name() const override { return "lr"; }
 
  protected:
-  std::unique_ptr<Predictor> fit(const std::vector<mlattack::Example>& train,
+  std::unique_ptr<Predictor> fit(const std::vector<Example>& train,
                                  support::Xoshiro256pp& rng) const override;
 
  private:
-  mlattack::LogRegParams params_;
+  LogRegParams params_;
 };
 
 class MlpAttack final : public ModelAttack {
@@ -42,7 +42,7 @@ class MlpAttack final : public ModelAttack {
   std::string name() const override { return "mlp"; }
 
  protected:
-  std::unique_ptr<Predictor> fit(const std::vector<mlattack::Example>& train,
+  std::unique_ptr<Predictor> fit(const std::vector<Example>& train,
                                  support::Xoshiro256pp& rng) const override;
 
  private:
@@ -62,7 +62,7 @@ class CmaesAttack final : public ModelAttack {
   std::string name() const override { return "cmaes"; }
 
  protected:
-  std::unique_ptr<Predictor> fit(const std::vector<mlattack::Example>& train,
+  std::unique_ptr<Predictor> fit(const std::vector<Example>& train,
                                  support::Xoshiro256pp& rng) const override;
 
  private:
@@ -71,7 +71,7 @@ class CmaesAttack final : public ModelAttack {
 
 class ReplayAttack final : public Attack {
  public:
-  explicit ReplayAttack(const mlattack::LogRegParams& params = {})
+  explicit ReplayAttack(const LogRegParams& params = {})
       : params_(params) {}
   std::string name() const override { return "replay"; }
 
@@ -79,7 +79,7 @@ class ReplayAttack final : public Attack {
                    support::Xoshiro256pp& rng) const override;
 
  private:
-  mlattack::LogRegParams params_;
+  LogRegParams params_;
 };
 
 }  // namespace pufatt::adversary

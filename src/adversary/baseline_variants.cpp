@@ -1,9 +1,11 @@
 // Baseline delay-PUF variants: plain Arbiter, k-XOR Arbiter, and the
 // MUX/arbiter additive-delay baseline, plus the shared harvesting helpers.
+#include <algorithm>
 #include <stdexcept>
 
 #include "adversary/variant.hpp"
 #include "alupuf/arbiter_puf.hpp"
+#include "support/parallel.hpp"
 
 namespace pufatt::adversary {
 
@@ -17,10 +19,8 @@ void PufVariant::query_batch(const BitVector* challenges, std::size_t count,
   }
 }
 
-namespace {
-
-std::vector<mlattack::Example> harvest(const PufVariant& variant,
-                                       std::size_t count, Xoshiro256pp& rng) {
+std::vector<Example> harvest_examples(const PufVariant& variant,
+                                      std::size_t count, Xoshiro256pp& rng) {
   std::vector<BitVector> challenges;
   challenges.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -28,28 +28,32 @@ std::vector<mlattack::Example> harvest(const PufVariant& variant,
   }
   std::vector<std::uint8_t> labels(count);
   variant.query_batch(challenges.data(), count, labels.data(), rng);
-  std::vector<mlattack::Example> out;
+  std::vector<Example> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(
-        mlattack::Example{variant.features(challenges[i]), labels[i] != 0});
+    out.push_back(Example{variant.features(challenges[i]), labels[i] != 0});
   }
   return out;
 }
 
-}  // namespace
-
-std::vector<mlattack::Example> QueryOracle::collect(std::size_t n,
-                                                    Xoshiro256pp& rng) {
-  const std::size_t take = std::min(n, remaining());
-  used_ += take;
-  return harvest(*variant_, take, rng);
+std::vector<Example> harvest_examples_parallel(
+    const PufVariant& variant, std::size_t count,
+    const ParallelCrpConfig& config) {
+  std::vector<Example> out(count);
+  support::parallel_blocks(
+      count, config.block, config.threads,
+      [&](std::size_t shard, std::size_t begin, std::size_t end, std::size_t) {
+        auto rng = support::shard_rng(config.seed, shard);
+        auto examples = harvest_examples(variant, end - begin, rng);
+        std::move(examples.begin(), examples.end(), out.begin() + begin);
+      });
+  return out;
 }
 
-std::vector<mlattack::Example> harvest_examples(const PufVariant& variant,
-                                                std::size_t count,
-                                                Xoshiro256pp& rng) {
-  return harvest(variant, count, rng);
+std::vector<Example> QueryOracle::collect(std::size_t n, Xoshiro256pp& rng) {
+  const std::size_t take = std::min(n, remaining());
+  used_ += take;
+  return harvest_examples(*variant_, take, rng);
 }
 
 namespace {

@@ -49,7 +49,7 @@ double Mlp::predict_probability(const std::vector<double>& features) const {
   return sigmoid(out);
 }
 
-void Mlp::train(const std::vector<mlattack::Example>& dataset,
+void Mlp::train(const std::vector<Example>& dataset,
                 const MlpParams& params, support::Xoshiro256pp& rng) {
   if (dataset.empty()) return;
   std::vector<std::size_t> order(dataset.size());
@@ -77,7 +77,7 @@ void Mlp::train(const std::vector<mlattack::Example>& dataset,
       std::fill(gw2.begin(), gw2.end(), 0.0);
       double gb2 = 0.0;
       for (std::size_t k = start; k < end; ++k) {
-        const mlattack::Example& ex = dataset[order[k]];
+        const Example& ex = dataset[order[k]];
         double out = b2_;
         for (std::size_t h = 0; h < hidden_; ++h) {
           const double* row = &w1_[h * num_features_];
@@ -121,7 +121,7 @@ void Mlp::train(const std::vector<mlattack::Example>& dataset,
   }
 }
 
-double Mlp::accuracy(const std::vector<mlattack::Example>& dataset) const {
+double Mlp::accuracy(const std::vector<Example>& dataset) const {
   if (dataset.empty()) return 0.0;
   std::size_t correct = 0;
   for (const auto& ex : dataset) {

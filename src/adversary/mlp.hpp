@@ -8,7 +8,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "mlattack/logreg.hpp"
+#include "adversary/logreg.hpp"
 #include "support/rng.hpp"
 
 namespace pufatt::adversary {
@@ -35,11 +35,11 @@ class Mlp {
   }
 
   /// Trains on the dataset (shuffled each epoch with `rng`).
-  void train(const std::vector<mlattack::Example>& dataset,
+  void train(const std::vector<Example>& dataset,
              const MlpParams& params, support::Xoshiro256pp& rng);
 
   /// Fraction of correct predictions on a dataset.
-  double accuracy(const std::vector<mlattack::Example>& dataset) const;
+  double accuracy(const std::vector<Example>& dataset) const;
 
  private:
   std::size_t num_features_;

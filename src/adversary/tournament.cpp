@@ -85,13 +85,8 @@ TournamentResult Tournament::run() const {
         auto device = variants_[variant_index].make(
             chip_seed_for(config_.seed, variant_index), config_.engine);
 
-        AttackRunConfig run_config;
+        AttackRunConfig run_config = config_.run;
         run_config.budget = config_.budgets[budget_index];
-        run_config.test_queries = config_.test_queries;
-        run_config.replay_rounds = config_.replay_rounds;
-        run_config.replay_session_calls = config_.replay_session_calls;
-        run_config.replay_challenges = config_.replay_challenges;
-        run_config.replay_threshold = config_.replay_threshold;
 
         support::Xoshiro256pp rng(
             run_seed_for(config_.seed, cell, budget_index));
@@ -189,6 +184,32 @@ void add_standard_lab(Tournament& tournament, const LabParams& params) {
   tournament.add_attack(std::make_shared<MlpAttack>(params.mlp));
   tournament.add_attack(std::make_shared<CmaesAttack>(params.cmaes));
   tournament.add_attack(std::make_shared<ReplayAttack>(params.logreg));
+}
+
+MatrixPreset matrix_preset(bool quick) {
+  MatrixPreset preset;
+  TournamentConfig& config = preset.config;
+  LabParams& lab = preset.lab;
+  config.seed = kMatrixSeed;
+  if (quick) {
+    config.budgets = {256, 1024};
+    config.run.test_queries = 600;
+    config.run.replay_rounds = 16;
+    lab.logreg.epochs = 25;
+    lab.mlp.epochs = 15;
+    lab.cmaes.cmaes.max_generations = 80;
+    lab.cmaes.cmaes.patience = 20;
+    lab.cmaes.fitness_subsample = 2000;
+  } else {
+    config.budgets = {1000, 4000, 12000};
+    config.run.test_queries = 2000;
+    config.run.replay_rounds = 40;
+    lab.logreg.epochs = 50;
+    lab.mlp.epochs = 30;
+    lab.cmaes.cmaes.max_generations = 160;
+    lab.cmaes.cmaes.patience = 32;
+  }
+  return preset;
 }
 
 }  // namespace pufatt::adversary

@@ -25,11 +25,8 @@ using VariantFactory = std::function<std::unique_ptr<PufVariant>(
 
 struct TournamentConfig {
   std::vector<std::size_t> budgets{1000, 4000, 12000};
-  std::size_t test_queries = 2000;
-  std::size_t replay_rounds = 40;
-  std::size_t replay_session_calls = 4;
-  std::size_t replay_challenges = 32;
-  double replay_threshold = 0.25;
+  /// What every unit runs with; its `budget` is set per unit from `budgets`.
+  AttackRunConfig run;
   std::size_t threads = 1;
   std::uint64_t seed = 1;
   timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice;
@@ -85,7 +82,7 @@ struct LabParams {
   ArbiterVariantParams arbiter;
   std::size_t xor_k = 4;
   AluVariantParams alu;
-  mlattack::LogRegParams logreg;
+  LogRegParams logreg;
   MlpParams mlp;
   CmaesAttack::Params cmaes;
 };
@@ -94,5 +91,18 @@ struct LabParams {
 /// mux-arbiter, alu-raw, alu-obf, nlfsr-arbiter, latent-arbiter) and 4
 /// attacks (lr, mlp, cmaes, replay).
 void add_standard_lab(Tournament& tournament, const LabParams& params = {});
+
+/// The gated attack matrix: budgets, held-out sizes and training knobs of
+/// bench/attack_matrix, full or quick (CI-sized), at the fixed matrix seed
+/// (kMatrixSeed) on one thread.  `pufatt-cli attack-matrix` runs the same
+/// preset, so its output reproduces the matrix the gates judge.
+struct MatrixPreset {
+  TournamentConfig config;
+  LabParams lab;
+};
+
+constexpr std::uint64_t kMatrixSeed = 0xA17AC4ULL;
+
+MatrixPreset matrix_preset(bool quick);
 
 }  // namespace pufatt::adversary

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "mlattack/logreg.hpp"
+#include "adversary/logreg.hpp"
 #include "support/bitvec.hpp"
 #include "support/rng.hpp"
 #include "timingsim/bitslice.hpp"
@@ -61,8 +61,8 @@ class AttestationSurface {
   /// assembles helper data and the obfuscated response exactly as an honest
   /// device would (the algorithms are public; only the silicon is secret).
   /// Returns whether the verifier accepted the forged transcript.  An
-  /// attestation session strings several calls (AttackRunConfig::
-  /// replay_session_calls), all of which must pass.
+  /// attestation session strings several calls (kReplaySessionCalls in
+  /// attacks.cpp), all of which must pass.
   virtual bool replay_trial(const RawResponder& respond,
                             support::Xoshiro256pp& rng) const = 0;
 
@@ -126,8 +126,7 @@ class QueryOracle {
 
   /// Harvests min(n, remaining()) labeled examples in the variant's
   /// feature space.
-  std::vector<mlattack::Example> collect(std::size_t n,
-                                         support::Xoshiro256pp& rng);
+  std::vector<Example> collect(std::size_t n, support::Xoshiro256pp& rng);
 
   std::size_t budget() const { return budget_; }
   std::size_t used() const { return used_; }
@@ -139,10 +138,27 @@ class QueryOracle {
   std::size_t used_ = 0;
 };
 
-/// Unbudgeted harvest (held-out test sets, verifier references).
-std::vector<mlattack::Example> harvest_examples(const PufVariant& variant,
-                                                std::size_t count,
-                                                support::Xoshiro256pp& rng);
+/// Unbudgeted harvest (held-out test sets, verifier references): `count`
+/// challenges drawn from `rng`, then one query_batch call.
+std::vector<Example> harvest_examples(const PufVariant& variant,
+                                      std::size_t count,
+                                      support::Xoshiro256pp& rng);
+
+/// Shard-parallel harvest.  Work is cut into fixed `block`-sized shards;
+/// shard k runs harvest_examples on support::shard_rng(seed, k) and writes
+/// into the output slice [k*block, ...), so the dataset is a pure function
+/// of (variant, count, block, seed) — identical at every thread count.  The
+/// variant's query_batch must be safe to call concurrently (every variant
+/// here is: evaluation is const and prewarmed at construction).
+struct ParallelCrpConfig {
+  std::size_t threads = 1;
+  std::size_t block = 256;  ///< challenges per shard (determinism unit)
+  std::uint64_t seed = 1;   ///< dataset seed (shard rngs derive from it)
+};
+
+std::vector<Example> harvest_examples_parallel(const PufVariant& variant,
+                                               std::size_t count,
+                                               const ParallelCrpConfig& config);
 
 // ----------------------------------------------------------------- variants
 
@@ -167,6 +183,16 @@ std::unique_ptr<PufVariant> make_xor_arbiter_variant(
 /// the additive delay model recovers it by direct search).
 std::unique_ptr<PufVariant> make_mux_arbiter_variant(
     const ArbiterVariantParams& params, std::uint64_t chip_seed);
+
+/// Attacker feature map for one raw ALU PUF response bit: signed challenge
+/// bits, signed propagate bits (a_i XOR b_i, which capture most of the
+/// carry-chain timing structure the race depends on) and a bias term.
+std::vector<double> alu_features(const support::BitVector& challenge);
+
+/// Signed bits of a 64-bit protocol challenge plus bias: all an attacker on
+/// the obfuscated output sees (the two-phase XOR folds 8 responses into
+/// each output bit, which is what defeats the attack).
+std::vector<double> word_features(std::uint64_t x);
 
 struct AluVariantParams {
   std::size_t width = 32;   ///< adder width (challenge = 2*width bits)

@@ -16,7 +16,17 @@
 #include <thread>
 #include <vector>
 
+#include "support/rng.hpp"
+
 namespace pufatt::support {
+
+/// The generator for shard `shard` of a block-parallel job seeded `seed`:
+/// a pure function of (seed, shard), so a shard's draws never depend on
+/// which worker runs it.  Every sharded CRP harvest derives its shard RNGs
+/// here.
+inline Xoshiro256pp shard_rng(std::uint64_t seed, std::size_t shard) {
+  return Xoshiro256pp(SplitMix64::mix(seed ^ (0xA5A5A5A5A5A5A5A5ULL + shard)));
+}
 
 /// Runs `fn(block_index, begin, end, worker_slot)` for every block
 /// `[k*block, min((k+1)*block, total))`, on up to `threads` std::threads.

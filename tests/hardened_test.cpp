@@ -6,10 +6,10 @@
 #include <array>
 #include <set>
 
+#include "adversary/attacks.hpp"
 #include "alupuf/arbiter_puf.hpp"
 #include "alupuf/obfuscation.hpp"
 #include "ecc/reed_muller.hpp"
-#include "mlattack/attack.hpp"
 #include "support/rng.hpp"
 
 namespace pufatt::alupuf {
@@ -195,12 +195,16 @@ TEST(XorArbiterPuf, NoiseCompoundsWithK) {
 
 TEST(XorArbiterPuf, LrBreaksK1ButNotK4) {
   Xoshiro256pp rng(9);
-  mlattack::AttackConfig config;
-  config.test_crps = 800;
-  const XorArbiterPuf k1(1, {.stages = 64, .noise_sigma = 0.05}, 10);
-  const XorArbiterPuf k4(4, {.stages = 64, .noise_sigma = 0.05}, 10);
-  const auto r1 = mlattack::attack_xor_arbiter(k1, 5000, rng, config);
-  const auto r4 = mlattack::attack_xor_arbiter(k4, 5000, rng, config);
+  const adversary::LogRegAttack lr;
+  adversary::AttackRunConfig config;
+  config.budget = 5000;
+  config.test_queries = 800;
+  const adversary::ArbiterVariantParams params{.stages = 64,
+                                               .noise_sigma = 0.05};
+  auto k1 = adversary::make_xor_arbiter_variant(1, params, 10);
+  auto k4 = adversary::make_xor_arbiter_variant(4, params, 10);
+  const auto r1 = lr.run(*k1, config, rng);
+  const auto r4 = lr.run(*k4, config, rng);
   EXPECT_GT(r1.test_accuracy, 0.9);
   EXPECT_LT(r4.test_accuracy, 0.6);
 }

@@ -8,11 +8,13 @@
 #
 # Every tree runs the full ctest suite *including* the bench-labeled
 # smokes (service_throughput_smoke, sim_engine_smoke, micro_perf_smoke,
-# obs_overhead_smoke, net_throughput_smoke, attack_matrix_quick) and the
+# obs_overhead_smoke, net_throughput_smoke, attack_matrix_quick), the
 # overclocking gate (honest accepted at 1.00x/1.05x, rejected from 1.15x,
-# redirect malware never accepted — the prover's clock-constraint path), so the
-# stable-schema BENCH_*.json writers and the tracing overhead gates are
-# exercised under each sanitizer too.  attack_matrix_quick runs the whole
+# redirect malware never accepted — the prover's clock-constraint path) and
+# the modeling_attack_demo example (best obfuscated-bit LR model < 0.6,
+# genuine die accepted 3/3, clone 0/3), so the stable-schema BENCH_*.json
+# writers and the tracing overhead gates are exercised under each sanitizer
+# too.  attack_matrix_quick runs the whole
 # adversary-lab roster (bench/attack_matrix --quick) with shrunk budgets
 # and relaxed gates, but still asserts the matrix is byte-stable across
 # thread counts and invariant across the scalar and bit-sliced timing

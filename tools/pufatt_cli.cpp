@@ -1065,9 +1065,7 @@ int cmd_gen_crps(std::uint64_t chip_seed, std::uint64_t count,
       n, kBlock, workers,
       [&](std::size_t shard, std::size_t begin, std::size_t end,
           std::size_t slot) {
-        // Same shard-generator derivation as the mlattack dataset builders.
-        support::Xoshiro256pp rng(support::SplitMix64::mix(
-            chip_seed ^ (0xA5A5A5A5A5A5A5A5ULL + shard)));
+        auto rng = support::shard_rng(chip_seed, shard);
         for (std::size_t i = begin; i < end; ++i) challenges[i] = rng.next();
         const auto outputs =
             device.query_batch(challenges.data() + begin, end - begin, env,
@@ -1291,30 +1289,14 @@ int cmd_store_compact(const std::string& dir, std::uint64_t segment_bytes) {
 // standard variant x attack roster and print the matrix.  The regression
 // gates live in bench/attack_matrix; this subcommand is the exploration
 // face — pick a seed, an engine, a thread count, and look at the numbers.
+// Both run adversary::matrix_preset, so at the default seed `--out` writes
+// the same matrix bytes the bench gates.
 int cmd_attack_matrix(bool quick, std::uint64_t seed, std::uint64_t threads,
                       timingsim::BatchEngine engine, const std::string& out) {
-  adversary::TournamentConfig config;
-  if (quick) {
-    config.budgets = {256, 1024};
-    config.test_queries = 600;
-    config.replay_rounds = 16;
-  } else {
-    config.budgets = {1000, 4000, 12000};
-    config.test_queries = 2000;
-    config.replay_rounds = 40;
-  }
+  auto [config, params] = adversary::matrix_preset(quick);
   config.threads = static_cast<std::size_t>(threads);
   config.seed = seed;
   config.engine = engine;
-
-  adversary::LabParams params;
-  if (quick) {
-    params.logreg.epochs = 25;
-    params.mlp.epochs = 15;
-    params.cmaes.cmaes.max_generations = 80;
-    params.cmaes.cmaes.patience = 20;
-    params.cmaes.fitness_subsample = 2000;
-  }
 
   adversary::Tournament tournament(config);
   adversary::add_standard_lab(tournament, params);
@@ -1640,7 +1622,7 @@ int main(int argc, char** argv) {
     }
     if (cmd == "attack-matrix") {
       bool quick = false;
-      std::uint64_t seed = 0xA17AC4ULL;  // the bench's fixed matrix seed
+      std::uint64_t seed = adversary::kMatrixSeed;
       std::uint64_t threads = 1;
       auto engine = timingsim::BatchEngine::kBitslice;
       std::string out;
