@@ -18,6 +18,7 @@
 #include "core/distributed.hpp"
 #include "core/enrollment.hpp"
 #include "core/protocol.hpp"
+#include "core/puf_adapter.hpp"
 #include "ecc/bch.hpp"
 #include "ecc/helper_data.hpp"
 #include "ecc/reed_muller.hpp"
@@ -90,6 +91,37 @@ void BM_PufEmulate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PufEmulate);
+
+void BM_EmulatorQueryCall(benchmark::State& state) {
+  // One core::emulator_query callback: the verifier's PUF() call inside
+  // the SWAT recompute, the unit behind verdictbench's
+  // alupuf.emulate_us_per_call.  An honest 8-word helper transcript,
+  // replayed (the cursor is rewound every iteration).
+  const alupuf::PufDevice device(puf32(), 1, rm5());
+  const alupuf::PufEmulator emulator(32, device.export_model(), rm5());
+  support::Xoshiro256pp rng(4);
+  std::array<std::uint64_t, 8> challenges;
+  std::array<alupuf::Challenge, 8> raw;
+  for (std::size_t r = 0; r < 8; ++r) {
+    challenges[r] = rng.next();
+    raw[r] = core::challenge_from_u64(challenges[r]);
+  }
+  const auto out =
+      device.query_raw(raw, variation::Environment::nominal(), rng);
+  std::vector<std::uint32_t> transcript;
+  for (const auto& h : out.helpers) {
+    transcript.push_back(core::helper_to_word(h));
+  }
+  std::size_t cursor = 0;
+  double weighted = 0.0;
+  const auto query =
+      core::emulator_query(emulator, transcript, cursor, &weighted);
+  for (auto _ : state) {
+    cursor = 0;
+    benchmark::DoNotOptimize(query(challenges));
+  }
+}
+BENCHMARK(BM_EmulatorQueryCall);
 
 void BM_PufDeviceConstruct(benchmark::State& state) {
   // Enrolling a chip: everything but the die itself is shared per shape.

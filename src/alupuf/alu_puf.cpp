@@ -32,6 +32,23 @@ support::Xoshiro256pp lane_rng(std::uint64_t batch_seed, std::size_t lane) {
       support::SplitMix64::mix(batch_seed + kLaneGolden * (lane + 1)));
 }
 
+/// AluPufEmulator's per-call scratch, one per thread (the idiom of
+/// eval_batch's fallback scratch): emulators keep none of their own, so a
+/// prewarmed emulator is read-only.  The bit-slice state is re-zeroed and
+/// its dispatch re-materialized when a thread switches emulators (the
+/// engine-id stamp in BitSliceState), once per verdict on the service's
+/// workers, not once per call.
+struct EmulatorScratch {
+  std::vector<timingsim::SignalState> states;
+  timingsim::BitSliceState slice;
+  std::vector<std::uint64_t> words;
+};
+
+EmulatorScratch& emulator_scratch() {
+  thread_local EmulatorScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 AluPufTopology::AluPufTopology(std::size_t width,
@@ -300,12 +317,14 @@ const timingsim::BitSliceEngine& AluPufEmulator::slice_for(
   return *cached_slice_;
 }
 
-void AluPufEmulator::run_challenge(const Challenge& challenge,
-                                   const variation::Environment& env) const {
+const std::vector<timingsim::SignalState>& AluPufEmulator::run_challenge(
+    const Challenge& challenge, const variation::Environment& env) const {
   if (challenge.size() != 2 * width_) {
     throw std::invalid_argument("AluPufEmulator: challenge must be 2*width bits");
   }
-  topology_->sim.run(challenge, delays_for(env), scratch_states_);
+  auto& states = emulator_scratch().states;
+  topology_->sim.run(challenge, delays_for(env), states);
+  return states;
 }
 
 void AluPufEmulator::check_batch(const Challenge* challenges,
@@ -320,12 +339,34 @@ void AluPufEmulator::check_batch(const Challenge* challenges,
 
 const timingsim::BitSliceEngine& AluPufEmulator::run_slice(
     const Challenge* challenges, std::size_t count,
-    const variation::Environment& env) const {
+    const variation::Environment& env, timingsim::BitSliceState& state) const {
   check_batch(challenges, count);
   const auto& slice = slice_for(env);
-  timingsim::pack_input_words(challenges, count, 2 * width_, slice_words_);
-  slice.run(slice_words_.data(), count, slice_state_);
+  auto& words = emulator_scratch().words;
+  timingsim::pack_input_words(challenges, count, 2 * width_, words);
+  slice.run(words.data(), count, state);
   return slice;
+}
+
+void AluPufEmulator::eval_soft_call(
+    const std::array<std::uint64_t, 8>& challenges, CallLlrs& llr,
+    const variation::Environment& env) const {
+  if (width_ > 32) {
+    throw std::logic_error("AluPufEmulator::eval_soft_call: width > 32");
+  }
+  constexpr std::size_t kLanes = 8;
+  const auto& slice = slice_for(env);
+  std::uint64_t words[64] = {};
+  timingsim::pack_input_words(challenges.data(), kLanes, 2 * width_, words);
+  auto& state = emulator_scratch().slice;
+  slice.run(words, kLanes, state);
+  const auto& circuit = topology_->circuit;
+  double t0[kLanes] = {}, t1[kLanes] = {};
+  for (std::size_t i = 0; i < width_; ++i) {
+    slice.lane_times(state, circuit.race0[i], t0);
+    slice.lane_times(state, circuit.race1[i], t1);
+    for (std::size_t x = 0; x < kLanes; ++x) llr[x][i] = -(t1[x] - t0[x]);
+  }
 }
 
 std::vector<RawResponse> AluPufEmulator::eval_batch(
@@ -342,15 +383,16 @@ std::vector<RawResponse> AluPufEmulator::eval_batch(
     }
     return responses;
   }
-  const auto& slice = run_slice(challenges, count, env);
+  auto& state = emulator_scratch().slice;
+  const auto& slice = run_slice(challenges, count, env, state);
   // Word-parallel arbiter: decide every race 64 lanes at a time, then
   // transpose each lane block back into per-device response vectors.
   const auto& circuit = topology_->circuit;
   responses.assign(count, RawResponse(width_));
-  const std::size_t nwords = slice_state_.nwords;
+  const std::size_t nwords = state.nwords;
   std::vector<std::uint64_t> race(width_ * nwords);
   for (std::size_t i = 0; i < width_; ++i) {
-    slice.race_words(slice_state_, circuit.race0[i], circuit.race1[i],
+    slice.race_words(state, circuit.race0[i], circuit.race1[i],
                      race.data() + i * nwords);
   }
   for (std::size_t w = 0; w < nwords; ++w) {
@@ -377,12 +419,13 @@ void AluPufEmulator::eval_soft_batch(const Challenge* challenges,
     }
     return;
   }
-  const auto& slice = run_slice(challenges, count, env);
+  auto& state = emulator_scratch().slice;
+  const auto& slice = run_slice(challenges, count, env, state);
   const auto& circuit = topology_->circuit;
   for (std::size_t x = 0; x < count; ++x) {
     for (std::size_t i = 0; i < width_; ++i) {
-      const double delta = slice.time_ps(slice_state_, circuit.race1[i], x) -
-                           slice.time_ps(slice_state_, circuit.race0[i], x);
+      const double delta = slice.time_ps(state, circuit.race1[i], x) -
+                           slice.time_ps(state, circuit.race0[i], x);
       out[x * width_ + i] = -delta;
     }
   }
@@ -390,12 +433,12 @@ void AluPufEmulator::eval_soft_batch(const Challenge* challenges,
 
 RawResponse AluPufEmulator::eval(const Challenge& challenge,
                                  const variation::Environment& env) const {
-  run_challenge(challenge, env);
+  const auto& states = run_challenge(challenge, env);
   const auto& circuit = topology_->circuit;
   RawResponse response(width_);
   for (std::size_t i = 0; i < width_; ++i) {
-    const double delta = scratch_states_[circuit.race1[i]].time_ps -
-                         scratch_states_[circuit.race0[i]].time_ps;
+    const double delta = states[circuit.race1[i]].time_ps -
+                         states[circuit.race0[i]].time_ps;
     response.set(i, timingsim::Arbiter::decide(delta));
   }
   return response;
@@ -403,12 +446,12 @@ RawResponse AluPufEmulator::eval(const Challenge& challenge,
 
 std::vector<double> AluPufEmulator::eval_soft(
     const Challenge& challenge, const variation::Environment& env) const {
-  run_challenge(challenge, env);
+  const auto& states = run_challenge(challenge, env);
   const auto& circuit = topology_->circuit;
   std::vector<double> llr(width_);
   for (std::size_t i = 0; i < width_; ++i) {
-    const double delta = scratch_states_[circuit.race1[i]].time_ps -
-                         scratch_states_[circuit.race0[i]].time_ps;
+    const double delta = states[circuit.race1[i]].time_ps -
+                         states[circuit.race0[i]].time_ps;
     // Bit is 1 when delta > 0, and the LLR convention is positive = bit 0.
     llr[i] = -delta;
   }

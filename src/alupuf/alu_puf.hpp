@@ -7,11 +7,13 @@
 // the mechanism behind the paper's overclocking-attack resilience.
 // AluPufEmulator is the verifier's PUF.Emulate(): the same race computed
 // deterministically from the enrollment delay table H.  Both hold only
-// their per-device state (the chip or H, delay caches, scratch); the
+// their per-device state (the chip or H and its delay caches); the
 // circuit and its compiled timing kernels are the same for every chip of
-// one shape and live in a shared AluPufTopology.
+// one shape and live in a shared AluPufTopology, and per-call scratch
+// belongs to the calling thread.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -196,8 +198,17 @@ class AluPuf {
 };
 
 /// Verifier-side deterministic emulation from the enrollment model H.
+///
+/// Per-call scratch (scalar signal states, bit-slice state and input words)
+/// is thread_local, so the only mutable members are the per-env delay cache
+/// and the shared-delay engine built on it: after prewarm(env), evaluation
+/// at `env` is read-only and one emulator may serve several threads.
 class AluPufEmulator {
  public:
+  /// One PUF() call's soft responses on the verdict path: `[x][i]` is
+  /// eval_soft's bit i of raw challenge x (entries at i >= width unused).
+  using CallLlrs = std::array<std::array<double, 32>, 8>;
+
   AluPufEmulator(std::size_t width, variation::DelayTable model,
                  netlist::AluPufLayout layout = {});
 
@@ -237,6 +248,19 @@ class AluPufEmulator {
       timingsim::BatchEngine engine =
           timingsim::BatchEngine::kBitslice) const;
 
+  /// The verifier's fixed-width soft emulation of one PUF() call: raw
+  /// challenge x is the low 2*width bits of `challenges[x]` (operand a in
+  /// the low half, as challenge_from_u64 packs it), and `llr[x]` receives
+  /// eval_soft's values for it.  One 8-lane run of the shared-delay
+  /// bit-sliced kernel, bit-identical to eval_soft; no BitVector, and no
+  /// heap allocation while the calling thread stays on one emulator (a
+  /// switch rebuilds the thread's bit-slice dispatch).  Requires
+  /// width <= 32 (std::logic_error otherwise).
+  void eval_soft_call(const std::array<std::uint64_t, 8>& challenges,
+                      CallLlrs& llr,
+                      const variation::Environment& env =
+                          variation::Environment::nominal()) const;
+
   /// Warms the per-env delay cache and the shared-delay bit-sliced engine
   /// (see AluPuf::prewarm).
   void prewarm(const variation::Environment& env =
@@ -249,19 +273,21 @@ class AluPufEmulator {
   }
 
  private:
-  void run_challenge(const Challenge& challenge,
-                     const variation::Environment& env) const;
+  /// Scalar run of one challenge into the calling thread's signal states.
+  const std::vector<timingsim::SignalState>& run_challenge(
+      const Challenge& challenge, const variation::Environment& env) const;
   const timingsim::DelaySet& delays_for(const variation::Environment& env) const;
   /// delays_for plus the shared-delay bit-sliced engine over those delays,
   /// built on first use per operating point.
   const timingsim::BitSliceEngine& slice_for(
       const variation::Environment& env) const;
-  /// Runs the shared-delay bit-sliced kernel into slice_state_ and returns
-  /// its engine.  The kScalar path never reaches here — callers loop the
+  /// Runs the shared-delay bit-sliced kernel into `state` and returns its
+  /// engine.  The kScalar path never reaches here — callers loop the
   /// scalar evaluation themselves.
   const timingsim::BitSliceEngine& run_slice(
       const Challenge* challenges, std::size_t count,
-      const variation::Environment& env) const;
+      const variation::Environment& env,
+      timingsim::BitSliceState& state) const;
   void check_batch(const Challenge* challenges, std::size_t count) const;
 
   std::size_t width_;
@@ -275,9 +301,6 @@ class AluPufEmulator {
   /// (prewarm builds it too, keeping post-prewarm evaluation read-only for
   /// thread sharing).
   mutable std::unique_ptr<timingsim::BitSliceEngine> cached_slice_;
-  mutable std::vector<timingsim::SignalState> scratch_states_;
-  mutable timingsim::BitSliceState slice_state_;
-  mutable std::vector<std::uint64_t> slice_words_;
 };
 
 }  // namespace pufatt::alupuf

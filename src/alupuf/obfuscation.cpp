@@ -1,5 +1,6 @@
 #include "alupuf/obfuscation.hpp"
 
+#include <array>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -32,6 +33,24 @@ ObfuscationNetwork::ObfuscationNetwork(std::size_t response_bits,
     }
     for (std::size_t k = 0; k < n; ++k) {
       pairs_.emplace_back(perm[2 * k], perm[2 * k + 1]);
+    }
+  }
+  if (two_n_ <= 32) {
+    // Every response bit sits in exactly one pair, so it lands on exactly
+    // one fold bit; a nibble's table entry XORs its set bits' landing spots.
+    std::array<std::uint16_t, 32> lands_on{};
+    for (std::size_t k = 0; k < n; ++k) {
+      lands_on[pairs_[k].first] ^= static_cast<std::uint16_t>(1u << k);
+      lands_on[pairs_[k].second] ^= static_cast<std::uint16_t>(1u << k);
+    }
+    const std::size_t nibbles = (two_n_ + 3) / 4;
+    fold_table_.assign(nibbles * 16, 0);
+    for (std::size_t k = 0; k < nibbles; ++k) {
+      for (std::size_t v = 0; v < 16; ++v) {
+        for (std::size_t bit = 0; bit < 4 && 4 * k + bit < two_n_; ++bit) {
+          if ((v >> bit) & 1u) fold_table_[k * 16 + v] ^= lands_on[4 * k + bit];
+        }
+      }
     }
   }
 }
@@ -74,6 +93,35 @@ BitVector ObfuscationNetwork::obfuscate(
       b = rotl_bits(b, 5 * j);
     }
     z ^= b;
+  }
+  return z;
+}
+
+std::uint32_t ObfuscationNetwork::fold_word(std::uint32_t response) const {
+  std::uint32_t folded = 0;
+  for (std::size_t k = 0; k * 16 < fold_table_.size(); ++k) {
+    folded ^= fold_table_[k * 16 + ((response >> (4 * k)) & 0xFu)];
+  }
+  return folded;
+}
+
+std::uint32_t ObfuscationNetwork::obfuscate_words(
+    const std::array<std::uint32_t, kResponsesPerOutput>& responses) const {
+  if (fold_table_.empty()) {
+    throw std::logic_error(
+        "ObfuscationNetwork::obfuscate_words: responses wider than 32 bits");
+  }
+  const std::size_t n = two_n_ / 2;
+  const std::uint64_t mask = (std::uint64_t{1} << two_n_) - 1;
+  std::uint32_t z = 0;
+  for (std::size_t j = 0; j < 4; ++j) {
+    std::uint64_t b = fold_word(responses[2 * j]) |
+                      (std::uint64_t{fold_word(responses[2 * j + 1])} << n);
+    if (pairing_ == Pairing::kHardened) {
+      const std::size_t k = (5 * j) % two_n_;  // rotl_bits, on a word
+      b = ((b << k) | (b >> (two_n_ - k))) & mask;
+    }
+    z ^= static_cast<std::uint32_t>(b);
   }
   return z;
 }

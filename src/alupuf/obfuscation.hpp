@@ -8,10 +8,16 @@
 // One obfuscated output therefore consumes kResponsesPerOutput = 8 raw PUF
 // responses, which is why a single logical PUF() call in the attestation
 // protocol triggers eight physical ALU races.
+//
+// Two forms compute the same network: `obfuscate` over BitVectors (any
+// even width; the exactness oracle) and `obfuscate_words` over uint32_t
+// responses (width <= 32; the PUF() call on both protocol sides), whose
+// fold is a precomputed per-nibble table.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -55,11 +61,26 @@ class ObfuscationNetwork {
       const std::array<support::BitVector, kResponsesPerOutput>& responses)
       const;
 
+  /// Word form of `obfuscate` for response_bits() <= 32: bit i of
+  /// `responses[r]` is bit i of raw response r, bit i of the result is
+  /// bit i of z.  Bits at or above response_bits() are ignored.  Equal to
+  /// `obfuscate` bit for bit; std::logic_error above 32 bits.
+  std::uint32_t obfuscate_words(
+      const std::array<std::uint32_t, kResponsesPerOutput>& responses) const;
+
  private:
+  /// Word-form fold of one response (n bits, low half of the result).
+  std::uint32_t fold_word(std::uint32_t response) const;
+
   std::size_t two_n_;
   Pairing pairing_;
   /// pair_[k] = {p, q}: fold output bit k = y[p] XOR y[q].
   std::vector<std::pair<std::size_t, std::size_t>> pairs_;
+  /// fold_table_[k * 16 + v]: the fold of a response whose nibble k is v
+  /// and every other nibble 0 (the fold is linear, so a response folds to
+  /// the XOR of its nibbles' entries).  Empty above 32 bits; 256 bytes at
+  /// 32, so every device and emulator can afford its own.
+  std::vector<std::uint16_t> fold_table_;
 };
 
 }  // namespace pufatt::alupuf

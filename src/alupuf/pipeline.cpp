@@ -1,6 +1,7 @@
 #include "alupuf/pipeline.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,21 +9,25 @@ namespace pufatt::alupuf {
 
 using support::BitVector;
 
+std::array<std::uint64_t, 8> ChallengeExpander::expand_words(
+    std::uint64_t x, std::size_t width) {
+  if (width == 0 || width > 32) {
+    throw std::invalid_argument("ChallengeExpander: width must be in [1, 32]");
+  }
+  const std::uint64_t mask =
+      width == 32 ? ~0ULL : (std::uint64_t{1} << (2 * width)) - 1;
+  std::array<std::uint64_t, 8> out{};
+  support::SplitMix64 prg(x);
+  for (auto& word : out) word = prg.next() & mask;
+  return out;
+}
+
 std::vector<Challenge> ChallengeExpander::expand(std::uint64_t x,
                                                  std::size_t width) {
   std::vector<Challenge> out;
   out.reserve(ObfuscationNetwork::kResponsesPerOutput);
-  support::SplitMix64 prg(x);
-  for (std::size_t r = 0; r < ObfuscationNetwork::kResponsesPerOutput; ++r) {
-    Challenge c(2 * width);
-    for (std::size_t base = 0; base < 2 * width; base += 64) {
-      const std::uint64_t word = prg.next();
-      const std::size_t chunk = std::min<std::size_t>(64, 2 * width - base);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        c.set(base + i, (word >> i) & 1ULL);
-      }
-    }
-    out.push_back(std::move(c));
+  for (const std::uint64_t word : expand_words(x, width)) {
+    out.emplace_back(2 * width, word);
   }
   return out;
 }
@@ -35,6 +40,9 @@ PufDevice::PufDevice(const AluPufConfig& config, std::uint64_t chip_seed,
   if (code.n() != config.width) {
     throw std::invalid_argument(
         "PufDevice: code length must equal the PUF response width");
+  }
+  if (config.width > 32) {
+    throw std::invalid_argument("PufDevice: width must be <= 32");
   }
 }
 
@@ -61,14 +69,14 @@ PufOutput PufDevice::query_raw(
 
 PufOutput PufDevice::finish(RawResponse* responses) const {
   constexpr std::size_t kPer = ObfuscationNetwork::kResponsesPerOutput;
-  std::array<BitVector, kPer> group;
+  std::array<std::uint32_t, kPer> words{};
   PufOutput out;
   out.helpers.reserve(kPer);
   for (std::size_t r = 0; r < kPer; ++r) {
     out.helpers.push_back(helper_.generate(responses[r]));
-    group[r] = std::move(responses[r]);
+    words[r] = static_cast<std::uint32_t>(responses[r].to_u64());
   }
-  out.z = obfuscation_.obfuscate(group);
+  out.z = BitVector(output_bits(), obfuscation_.obfuscate_words(words));
   return out;
 }
 
@@ -99,67 +107,89 @@ PufEmulator::PufEmulator(std::size_t width, variation::DelayTable model,
                          const ecc::BinaryCode& code,
                          netlist::AluPufLayout layout)
     : emulator_(width, std::move(model), layout),
-      helper_(code),
+      code_(dynamic_cast<const ecc::ReedMuller1*>(&code)),
       obfuscation_(width, ObfuscationNetwork::Pairing::kHardened) {
   if (code.n() != width) {
     throw std::invalid_argument(
         "PufEmulator: code length must equal the PUF response width");
   }
+  if (code_ == nullptr || width > 32) {
+    throw std::invalid_argument(
+        "PufEmulator: the verdict path decodes RM(1,m) with n <= 32");
+  }
+  const auto& rows = code.syndrome_preimages();
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    preimage_rows_[j] = static_cast<std::uint32_t>(rows[j].to_u64());
+  }
+  helper_mask_ =
+      static_cast<std::uint32_t>((std::uint64_t{1} << rows.size()) - 1);
+}
+
+std::uint32_t PufEmulator::reconstruct(
+    const std::array<double, 32>& reference_llr, std::uint32_t helper_word,
+    CallStats& stats) const {
+  const std::size_t n = code_->n();
+  // y0: any word whose syndrome is the helper data.
+  std::uint32_t y0 = 0;
+  for (std::uint32_t h = helper_word & helper_mask_; h != 0; h &= h - 1) {
+    y0 ^= preimage_rows_[std::countr_zero(h)];
+  }
+  // Soft-decode reference XOR y0 (a known 1 flips the sign of the soft
+  // value): the emulation's race margins tell the decoder which bits the
+  // physical arbiters resolve unreliably.
+  std::array<double, 32> f{};
+  std::uint32_t reference = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    f[i] = (y0 >> i) & 1u ? -reference_llr[i] : reference_llr[i];
+    if (reference_llr[i] < 0.0) reference |= std::uint32_t{1} << i;
+  }
+  const std::uint32_t response = code_->decode_soft_word(f) ^ y0;
+  // Distance budgets against the reference (sign of the margins): plain
+  // Hamming plus the reliability-weighted likelihood-ratio statistic.
+  for (std::uint32_t d = response ^ reference; d != 0; d &= d - 1) {
+    ++stats.distance;
+    stats.weighted_ps += std::abs(reference_llr[std::countr_zero(d)]);
+  }
+  return response;
+}
+
+PufEmulator::Emulation PufEmulator::emulate_raw(
+    const std::array<std::uint64_t, 8>& challenges,
+    const std::array<std::uint32_t, 8>& helper_words,
+    const variation::Environment& env) const {
+  AluPufEmulator::CallLlrs llr{};
+  emulator_.eval_soft_call(challenges, llr, env);
+  Emulation out;
+  std::array<std::uint32_t, ObfuscationNetwork::kResponsesPerOutput>
+      responses{};
+  for (std::size_t r = 0; r < responses.size(); ++r) {
+    responses[r] = reconstruct(llr[r], helper_words[r], out.stats);
+  }
+  if (out.stats.distance <= max_call_distance_ &&
+      out.stats.weighted_ps <= max_weighted_distance_ps_) {
+    out.z = obfuscation_.obfuscate_words(responses);
+  }
+  return out;
 }
 
 std::optional<BitVector> PufEmulator::emulate(
     std::uint64_t challenge, const std::vector<BitVector>& helpers,
     const variation::Environment& env) const {
-  const auto expanded =
-      ChallengeExpander::expand(challenge, emulator_.response_bits());
-  std::array<Challenge, ObfuscationNetwork::kResponsesPerOutput> challenges;
-  std::copy(expanded.begin(), expanded.end(), challenges.begin());
-  return emulate_raw(challenges, helpers, env);
-}
-
-std::optional<BitVector> PufEmulator::emulate_raw(
-    const std::array<Challenge, ObfuscationNetwork::kResponsesPerOutput>&
-        challenges,
-    const std::vector<BitVector>& helpers,
-    const variation::Environment& env) const {
   if (helpers.size() != ObfuscationNetwork::kResponsesPerOutput) {
     return std::nullopt;
   }
-  std::array<BitVector, ObfuscationNetwork::kResponsesPerOutput> responses;
-  std::size_t call_distance = 0;
-  double weighted_distance = 0.0;
-  // All 8 soft emulations in one batched pass over the timing engine —
-  // bit-identical to per-challenge eval_soft (the emulator is noise-free),
-  // and the dominant cost of a verifier job.
-  const std::size_t width = emulator_.response_bits();
-  std::vector<double> soft;
-  emulator_.eval_soft_batch(challenges.data(), challenges.size(), soft, env);
-  std::vector<double> reference_llr(width);
-  for (std::size_t r = 0; r < responses.size(); ++r) {
-    // Soft-decision reconstruction: the emulation's race margins tell the
-    // decoder which bits the physical arbiters resolve unreliably.
-    std::copy(soft.begin() + r * width, soft.begin() + (r + 1) * width,
-              reference_llr.begin());
-    const auto reconstructed =
-        helper_.reproduce_soft(reference_llr, helpers[r]);
-    if (!reconstructed) return std::nullopt;
-    // Distance budgets against the reference (sign of the margins): plain
-    // Hamming plus the reliability-weighted likelihood-ratio statistic.
-    for (std::size_t i = 0; i < reference_llr.size(); ++i) {
-      const bool reference_bit = reference_llr[i] < 0.0;
-      if (reconstructed->get(i) != reference_bit) {
-        ++call_distance;
-        weighted_distance += std::abs(reference_llr[i]);
-      }
+  std::array<std::uint32_t, ObfuscationNetwork::kResponsesPerOutput> words{};
+  for (std::size_t r = 0; r < words.size(); ++r) {
+    if (helpers[r].size() != helper_bits()) {
+      throw std::invalid_argument("PufEmulator::emulate: bad helper size");
     }
-    responses[r] = *reconstructed;
+    words[r] = static_cast<std::uint32_t>(helpers[r].to_u64());
   }
-  last_call_stats_ = CallStats{call_distance, weighted_distance};
-  if (call_distance > max_call_distance_ ||
-      weighted_distance > max_weighted_distance_ps_) {
-    return std::nullopt;
-  }
-  return obfuscation_.obfuscate(responses);
+  const auto result = emulate_raw(
+      ChallengeExpander::expand_words(challenge, emulator_.response_bits()),
+      words, env);
+  if (!result.z) return std::nullopt;
+  return BitVector(output_bits(), *result.z);
 }
 
 }  // namespace pufatt::alupuf

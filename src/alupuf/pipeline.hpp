@@ -17,8 +17,21 @@
 // follows its RNG contract: one rng.next() per batch, lane noise derived
 // from it.  Scalar AluPuf::eval remains for CRP databases and as the
 // statistical oracle the batched responses are tested against.
+//
+// The verdict path (PufEmulator::emulate_raw, behind core::emulator_query)
+// runs on the protocol's fixed shapes — widths <= 32, so 8 uint64_t raw
+// challenges, uint32_t helper words and responses, LLRs in
+// std::array<double, 32> — with no BitVector and no heap buffers: one
+// 8-lane shared-delay bit-slice run, helper preimages XORed from uint32_t
+// rows, RM(1,m) soft decoding as an in-place FWHT on the stack, and the
+// word-form obfuscation PufDevice also uses.  The BitVector pipeline
+// (AluPufEmulator::eval_soft, SyndromeHelper::reproduce_soft,
+// ObfuscationNetwork::obfuscate) is its exactness oracle: tests require
+// the two to agree bit for bit (DESIGN.md §5b).  The emulator keeps no
+// per-call state, so once prewarmed it is read-only across threads.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -27,14 +40,21 @@
 #include "alupuf/obfuscation.hpp"
 #include "ecc/helper_data.hpp"
 #include "ecc/linear_code.hpp"
+#include "ecc/reed_muller.hpp"
 
 namespace pufatt::alupuf {
 
 /// Deterministically expands a 64-bit protocol challenge into the 8 raw
 /// adder challenges one obfuscated output consumes.  Both protocol sides
 /// run this expansion, so only 64 bits travel in the protocol.
+/// Raw challenge r is the low 2*width bits of the r-th SplitMix64 output
+/// seeded with x; width must be in [1, 32] (std::invalid_argument).
 class ChallengeExpander {
  public:
+  /// The 8 raw challenges as words (the verifier's form).
+  static std::array<std::uint64_t, 8> expand_words(std::uint64_t x,
+                                                   std::size_t width);
+  /// The same challenges as BitVectors (the prover's form).
   static std::vector<Challenge> expand(std::uint64_t x, std::size_t width);
 };
 
@@ -49,8 +69,9 @@ struct PufOutput {
 /// Prover-side PUF(): physical ALU PUF + syndrome generator + obfuscation.
 class PufDevice {
  public:
-  /// `code.n()` must equal `config.width` (e.g. RM(1,5) for width 32).
-  /// `code` must outlive the device.
+  /// `code.n()` must equal `config.width` (e.g. RM(1,5) for width 32), and
+  /// the width must be <= 32 (the obfuscation runs on words).  `code` must
+  /// outlive the device.
   PufDevice(const AluPufConfig& config, std::uint64_t chip_seed,
             const ecc::BinaryCode& code);
 
@@ -117,6 +138,8 @@ class PufDevice {
 /// distance, not by decoding failure.
 class PufEmulator {
  public:
+  /// `code` must be RM(1,m) with n = `width` <= 32 (std::invalid_argument
+  /// otherwise) and outlive the emulator.
   PufEmulator(std::size_t width, variation::DelayTable model,
               const ecc::BinaryCode& code,
               netlist::AluPufLayout layout = {});
@@ -140,44 +163,63 @@ class PufEmulator {
   void set_max_weighted_distance(double ps) { max_weighted_distance_ps_ = ps; }
   double max_weighted_distance() const { return max_weighted_distance_ps_; }
 
-  /// Recomputes z for a challenge given the prover's helper data; nullopt
-  /// when reconstruction fails (reference and measurement too far apart —
-  /// an honest-prover false negative or a forged transcript).
+  /// Distance statistics of one PUF() call — verifiers aggregate these
+  /// across a whole attestation transcript (the summed statistic separates
+  /// marginal overclocking far better than any per-call threshold).
+  struct CallStats {
+    std::size_t distance = 0;
+    double weighted_ps = 0.0;
+  };
+
+  /// One verdict-path PUF() call: z, or nullopt when a distance budget is
+  /// exceeded, plus the statistics it was judged on.
+  struct Emulation {
+    std::optional<std::uint32_t> z;
+    CallStats stats;
+  };
+
+  /// The verifier's PUF() call on raw challenges, matching
+  /// PufDevice::query_raw: raw challenge r is the low 2*width bits of
+  /// `challenges[r]`, helper r the low helper_bits() of `helper_words[r]`
+  /// (higher bits are ignored, as helper_from_word drops them).  No
+  /// BitVector and no state (scratch as in AluPufEmulator::eval_soft_call):
+  /// safe to call from several threads at an env the emulator was
+  /// prewarmed at.
+  Emulation emulate_raw(const std::array<std::uint64_t, 8>& challenges,
+                        const std::array<std::uint32_t, 8>& helper_words,
+                        const variation::Environment& env =
+                            variation::Environment::nominal()) const;
+
+  /// Converting wrapper over emulate_raw for a 64-bit protocol challenge
+  /// (ChallengeExpander) and helper BitVectors: nullopt on a wrong helper
+  /// count or a failed call; std::invalid_argument on a helper that is not
+  /// helper_bits() long.
   std::optional<support::BitVector> emulate(
       std::uint64_t challenge,
       const std::vector<support::BitVector>& helpers,
       const variation::Environment& env =
           variation::Environment::nominal()) const;
 
-  /// Raw-challenge variant matching PufDevice::query_raw.
-  std::optional<support::BitVector> emulate_raw(
-      const std::array<Challenge, ObfuscationNetwork::kResponsesPerOutput>&
-          challenges,
-      const std::vector<support::BitVector>& helpers,
-      const variation::Environment& env =
-          variation::Environment::nominal()) const;
-
-  /// Distance statistics of the most recent emulate/emulate_raw call —
-  /// verifiers aggregate these across a whole attestation transcript (the
-  /// summed statistic separates marginal overclocking far better than any
-  /// per-call threshold).
-  struct CallStats {
-    std::size_t distance = 0;
-    double weighted_ps = 0.0;
-  };
-  CallStats last_call_stats() const { return last_call_stats_; }
+  /// One response of emulate_raw: reconstructs the prover's response from
+  /// its reference LLRs and helper word, and adds its distance to `stats`
+  /// (bits in ascending order, so eight calls in response order sum as
+  /// emulate_raw does).  Public so tests can drive hand-built LLRs.
+  std::uint32_t reconstruct(const std::array<double, 32>& reference_llr,
+                            std::uint32_t helper_word, CallStats& stats) const;
 
   std::size_t output_bits() const { return obfuscation_.output_bits(); }
-  std::size_t helper_bits() const { return helper_.helper_bits(); }
+  std::size_t helper_bits() const { return code_->n() - code_->k(); }
   const AluPufEmulator& raw_emulator() const { return emulator_; }
 
  private:
   AluPufEmulator emulator_;
-  ecc::SyndromeHelper helper_;
+  const ecc::ReedMuller1* code_;
+  /// preimage_rows_[j]: BinaryCode::syndrome_preimages()[j] as a word.
+  std::array<std::uint32_t, 32> preimage_rows_{};
+  std::uint32_t helper_mask_ = 0;
   ObfuscationNetwork obfuscation_;
   std::size_t max_call_distance_ = 48;
   double max_weighted_distance_ps_ = 60.0;
-  mutable CallStats last_call_stats_{};
 };
 
 }  // namespace pufatt::alupuf

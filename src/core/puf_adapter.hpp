@@ -60,8 +60,9 @@ swat::PufQuery device_query(const alupuf::PufDevice& device,
                             std::vector<std::uint32_t>& transcript);
 
 /// swat::PufQuery adapter over the verifier's emulator: consumes helper
-/// words from `transcript` in order; yields nullopt on reconstruction
-/// failure or transcript exhaustion.  When `total_weighted_ps` is non-null
+/// words from `transcript` in order and runs each call as one fixed-width
+/// PufEmulator::emulate_raw; yields nullopt on reconstruction failure or
+/// transcript exhaustion.  When `total_weighted_ps` is non-null
 /// it accumulates the reliability-weighted reconstruction distance over
 /// every call, which the verifier checks against a whole-transcript budget.
 swat::PufQuery emulator_query(const alupuf::PufEmulator& emulator,

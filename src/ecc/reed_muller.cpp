@@ -12,11 +12,11 @@ using support::BitVector;
 
 namespace {
 
-/// In-place fast Walsh-Hadamard transform.
+/// In-place fast Walsh-Hadamard transform of a[0..n).
 template <typename T>
-void fwht(std::vector<T>& a) {
-  for (std::size_t h = 1; h < a.size(); h *= 2) {
-    for (std::size_t i = 0; i < a.size(); i += 2 * h) {
+void fwht(T* a, std::size_t n) {
+  for (std::size_t h = 1; h < n; h *= 2) {
+    for (std::size_t i = 0; i < n; i += 2 * h) {
       for (std::size_t j = i; j < i + h; ++j) {
         const T x = a[j];
         const T y = a[j + h];
@@ -42,6 +42,13 @@ ReedMuller1::ReedMuller1(unsigned m) : m_(m), n_(std::size_t{1} << m) {
     }
   }
   parity_check_ = parity_from_generator(gen);
+  if (m_ <= 5) {
+    for (std::size_t l = 0; l < n_; ++l) {
+      for (std::size_t i = 0; i < n_; ++i) {
+        if (std::popcount(l & i) & 1) linear_words_[l] |= std::uint32_t{1} << i;
+      }
+    }
+  }
 }
 
 BitVector ReedMuller1::encode(const BitVector& message) const {
@@ -70,7 +77,7 @@ BitVector ReedMuller1::decode_message(const BitVector& word) const {
   // part, the peak sign is the affine constant.
   std::vector<int> f(n_);
   for (std::size_t i = 0; i < n_; ++i) f[i] = word.get(i) ? -1 : 1;
-  fwht(f);
+  fwht(f.data(), f.size());
   std::size_t best = 0;
   int best_mag = std::abs(f[0]);
   for (std::size_t i = 1; i < n_; ++i) {
@@ -100,7 +107,7 @@ std::optional<BitVector> ReedMuller1::decode_soft_to_codeword(
     throw std::invalid_argument("ReedMuller1::decode_soft: wrong length");
   }
   std::vector<double> f = llr;  // positive = bit 0, as encoded codeword +1
-  fwht(f);
+  fwht(f.data(), f.size());
   std::size_t best = 0;
   double best_mag = std::abs(f[0]);
   for (std::size_t i = 1; i < n_; ++i) {
@@ -115,10 +122,47 @@ std::optional<BitVector> ReedMuller1::decode_soft_to_codeword(
   return encode(msg);
 }
 
+namespace {
+
+/// decode_soft_word's body for n = N: constant bounds let the compiler
+/// unroll the butterflies and the peak scan.  The scan keeps the generic
+/// decoder's rule (strict >, so the first maximum wins), branch-free.
+template <std::size_t N>
+std::size_t soft_peak(double* f) {
+  fwht(f, N);
+  std::size_t best = 0;
+  double best_mag = std::abs(f[0]);
+  for (std::size_t i = 1; i < N; ++i) {
+    const double mag = std::abs(f[i]);
+    const bool higher = mag > best_mag;
+    best_mag = higher ? mag : best_mag;
+    best = higher ? i : best;
+  }
+  return best;
+}
+
+}  // namespace
+
+std::uint32_t ReedMuller1::decode_soft_word(
+    std::array<double, 32>& llr) const {
+  std::size_t best = 0;
+  switch (m_) {
+    case 2: best = soft_peak<4>(llr.data()); break;
+    case 3: best = soft_peak<8>(llr.data()); break;
+    case 4: best = soft_peak<16>(llr.data()); break;
+    case 5: best = soft_peak<32>(llr.data()); break;
+    default:
+      throw std::logic_error("ReedMuller1::decode_soft_word: m > 5");
+  }
+  const std::uint32_t ones =
+      static_cast<std::uint32_t>((std::uint64_t{1} << n_) - 1);
+  return linear_words_[best] ^ (llr[best] < 0.0 ? ones : 0u);
+}
+
 int ReedMuller1::correlation_peak(const BitVector& word) const {
   std::vector<int> f(n_);
   for (std::size_t i = 0; i < n_; ++i) f[i] = word.get(i) ? -1 : 1;
-  fwht(f);
+  fwht(f.data(), f.size());
   int best = 0;
   for (const auto v : f) best = std::max(best, std::abs(v));
   return best;

@@ -9,6 +9,7 @@
 // reading can approximately hold in practice.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "ecc/linear_code.hpp"
@@ -43,6 +44,14 @@ class ReedMuller1 final : public BinaryCode {
   std::optional<support::BitVector> decode_soft_to_codeword(
       const std::vector<double>& llr) const override;
 
+  /// Fixed-width decode_soft_to_codeword for m <= 5 (n <= 32), the
+  /// verifier's per-response decoder: the same ML decision — identical
+  /// butterfly order, strict-> first-maximum tie-break on |f| and
+  /// `f[best] < 0.0` sign test — on `llr[0..n)`, transformed in place on
+  /// the caller's stack.  Returns the codeword as a word (bit i = codeword
+  /// bit i).  std::logic_error for m > 5.
+  std::uint32_t decode_soft_word(std::array<double, 32>& llr) const;
+
   const Gf2Matrix& parity_check() const override { return parity_check_; }
 
   /// The |correlation| margin of the last-but-stateless decode: returns the
@@ -57,6 +66,8 @@ class ReedMuller1 final : public BinaryCode {
   unsigned m_;
   std::size_t n_;
   Gf2Matrix parity_check_;
+  /// m <= 5: linear_words_[l] = codeword of linear part l with u0 = 0.
+  std::array<std::uint32_t, 32> linear_words_{};
 };
 
 }  // namespace pufatt::ecc

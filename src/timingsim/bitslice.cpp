@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <limits>
 #include <stdexcept>
 
@@ -363,7 +364,7 @@ struct PreOp {
 /// Everything the stamp covers is baked into the PreOp pointers, so a
 /// matching stamp means the ops can run as-is.
 struct ExecPlan {
-  const void* owner = nullptr;
+  std::uint64_t owner = 0;  // BitSliceEngine::id_
   std::size_t count = 0;
   const std::uint64_t* values = nullptr;
   const double* times = nullptr;
@@ -801,6 +802,20 @@ void pack_input_words(const support::BitVector* challenges, std::size_t count,
   }
 }
 
+void pack_input_words(const std::uint64_t* challenges, std::size_t count,
+                      std::size_t num_inputs, std::uint64_t* out) {
+  if (count > 64 || num_inputs > 64) {
+    throw std::invalid_argument(
+        "pack_input_words: word form takes <= 64 lanes of <= 64 inputs");
+  }
+  const std::uint64_t mask =
+      num_inputs == 64 ? ~0ULL : (std::uint64_t{1} << num_inputs) - 1;
+  std::uint64_t m[64] = {};
+  for (std::size_t l = 0; l < count; ++l) m[l] = challenges[l] & mask;
+  support::transpose_64x64(m);
+  std::copy(m, m + num_inputs, out);
+}
+
 BitSliceEngine::BitSliceEngine(const CompiledNetlist& compiled)
     : cn_(&compiled) {
   init_common();
@@ -838,6 +853,8 @@ BitSliceEngine::BitSliceEngine(const CompiledNetlist& compiled,
 }
 
 void BitSliceEngine::init_common() {
+  static std::atomic<std::uint64_t> next_id{1};
+  id_ = next_id.fetch_add(1, std::memory_order_relaxed);
   const std::size_t n = cn_->num_gates();
   rep_.assign(n, kConstT);
   t0_.assign(n, 0.0);
@@ -1044,6 +1061,24 @@ double BitSliceEngine::time_ps(const BitSliceState& s, GateId g,
   }
 }
 
+void BitSliceEngine::lane_times(const BitSliceState& s, GateId g,
+                                double* out) const {
+  switch (rep_[g]) {
+    case kWideT: {
+      const double* const lanes =
+          s.times.data() + static_cast<std::size_t>(slot_[g]) * s.padded;
+      std::copy(lanes, lanes + s.count, out);
+      return;
+    }
+    case kBimodalT:
+      for (std::size_t l = 0; l < s.count; ++l) out[l] = time_ps(s, g, l);
+      return;
+    default:
+      std::fill(out, out + s.count, t0_[g]);
+      return;
+  }
+}
+
 void BitSliceEngine::race_words(const BitSliceState& s, GateId g0, GateId g1,
                                 std::uint64_t* out) const {
   for (std::size_t w = 0; w < s.nwords; ++w) {
@@ -1083,9 +1118,9 @@ void BitSliceEngine::prepare(BitSliceState& out, std::size_t count) const {
   // read 0 from the previous run — as long as the previous run was this
   // engine (another netlist's schedule leaves different gates untouched).
   const std::size_t vneed = n * out.nwords;
-  if (out.values.size() != vneed || out.owner != this) {
+  if (out.values.size() != vneed || out.owner != id_) {
     out.values.assign(vneed, 0);
-    out.owner = this;
+    out.owner = id_;
   }
   const std::size_t tneed = wide_count_ * out.padded;
   if (out.times.size() != tneed) out.times.assign(tneed, 0.0);
@@ -1139,13 +1174,13 @@ void BitSliceEngine::run_impl(const std::uint64_t* input_words,
   // addresses, delay rows) — per-gate setup vanishes from the steady-state
   // batch loop.
   ExecPlan* ep = static_cast<ExecPlan*>(out.exec.get());
-  if (ep == nullptr || ep->owner != this || ep->count != count ||
+  if (ep == nullptr || ep->owner != id_ || ep->count != count ||
       ep->values != values || ep->times != times || ep->ldr != ld_rise ||
       ep->ldf != ld_fall) {
     auto fresh = std::make_shared<ExecPlan>();
     ep = fresh.get();
     out.exec = std::move(fresh);
-    ep->owner = this;
+    ep->owner = id_;
     ep->count = count;
     ep->values = values;
     ep->times = times;

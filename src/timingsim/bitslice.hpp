@@ -64,6 +64,13 @@ enum class BatchEngine : std::uint8_t {
 void pack_input_words(const support::BitVector* challenges, std::size_t count,
                       std::size_t num_inputs, std::vector<std::uint64_t>& out);
 
+/// Word form for one block of fixed-width challenges: `count` <= 64 lanes,
+/// challenge l is the low `num_inputs` (<= 64) bits of `challenges[l]`,
+/// and `out[i]` (i < num_inputs) receives input bit i of every lane, lane l
+/// in bit l — the same words the BitVector form writes for nwords = 1.
+void pack_input_words(const std::uint64_t* challenges, std::size_t count,
+                      std::size_t num_inputs, std::uint64_t* out);
+
 /// Result of one bit-sliced run.  Value words for every gate; wide time
 /// lanes only for gates the engine classified kWideT (slot-indexed — read
 /// through the engine's accessors, which know each gate's representation).
@@ -76,10 +83,14 @@ struct BitSliceState {
   std::size_t padded = 0;
   std::vector<std::uint64_t> values;  ///< [gate*nwords + w]
   std::vector<double> times;          ///< [wide_slot*padded + lane]
-  /// Engine that last filled this state.  Same engine + same shape lets a
-  /// rerun skip re-zeroing `values`: unscheduled gates were zeroed once and
-  /// are never written, scheduled gates are fully rewritten.
-  const void* owner = nullptr;
+  /// Process-unique id of the engine that last filled this state.  Same
+  /// engine + same shape lets a rerun skip re-zeroing `values`:
+  /// unscheduled gates were zeroed once and are never written, scheduled
+  /// gates are fully rewritten.  An id, not an address: a state outlives
+  /// the engines it serves (the emulators' per-thread scratch), and a new
+  /// engine built where a destroyed one lived must not inherit its baked
+  /// plan.
+  std::uint64_t owner = 0;
   /// Materialized time-pass dispatch (kernel arguments resolved to
   /// pointers), rebuilt whenever the engine, lane count, buffer addresses,
   /// or per-lane delay rows change.  Fleet workloads reuse one state across
@@ -134,6 +145,11 @@ class BitSliceEngine {
   double time_ps(const BitSliceState& s, netlist::GateId g,
                  std::size_t lane) const;
 
+  /// time_ps of gate `g` for every live lane: `out[l]` for l < s.count,
+  /// with the representation dispatch paid once per gate.
+  void lane_times(const BitSliceState& s, netlist::GateId g,
+                  double* out) const;
+
   /// Word-parallel arbiter: writes `s.nwords` words where bit l of word w
   /// is Arbiter::decide(t[g1] - t[g0]) for lane w*64+l.  Tail bits beyond
   /// `s.count` are zero.
@@ -167,6 +183,7 @@ class BitSliceEngine {
                 const BatchDelays* lane_delays, BitSliceState& out) const;
 
   const CompiledNetlist* cn_;
+  std::uint64_t id_ = 0;  ///< process-unique, never 0 (BitSliceState::owner)
   bool shared_ = false;
   std::size_t wide_count_ = 0;
   // Per-gate plan (indexed by gate id).

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "alupuf/alu_puf.hpp"
@@ -525,6 +527,355 @@ TEST_F(PipelineFixture, HelperDataDependsOnResponseNoise) {
 TEST(Pipeline, RejectsCodeWidthMismatch) {
   const ecc::ReedMuller1 rm4(4);  // n = 16, but PUF width 32
   EXPECT_THROW(PufDevice(small_config(32), 1, rm4), std::invalid_argument);
+}
+
+// ------------------------------------------------ verdict-path PUF() call
+
+/// The generic PUF.Emulate() body the fixed-width verdict path replaced,
+/// kept as its exactness oracle: scalar eval_soft per raw challenge,
+/// SyndromeHelper::reproduce_soft, the distance loop, and the BitVector
+/// obfuscation.  Helper words are cut to helper_bits() the way
+/// core::helper_from_word cuts them (a BitVector of that size).
+struct OracleCall {
+  std::optional<BitVector> z;
+  std::array<BitVector, 8> responses;
+  PufEmulator::CallStats stats;
+};
+
+OracleCall oracle_emulate_raw(const PufEmulator& emulator,
+                              const ecc::BinaryCode& code,
+                              const std::array<std::uint64_t, 8>& challenges,
+                              const std::array<std::uint32_t, 8>& helpers) {
+  const std::size_t width = emulator.raw_emulator().response_bits();
+  const ecc::SyndromeHelper helper(code);
+  const ObfuscationNetwork obfuscation(width,
+                                       ObfuscationNetwork::Pairing::kHardened);
+  OracleCall out;
+  for (std::size_t r = 0; r < 8; ++r) {
+    const auto reference_llr = emulator.raw_emulator().eval_soft(
+        Challenge(2 * width, challenges[r]));
+    const auto reconstructed = helper.reproduce_soft(
+        reference_llr, BitVector(helper.helper_bits(), helpers[r]));
+    if (!reconstructed) {
+      ADD_FAILURE() << "RM(1,m) soft decoding never gives up";
+      return out;
+    }
+    for (std::size_t i = 0; i < reference_llr.size(); ++i) {
+      const bool reference_bit = reference_llr[i] < 0.0;
+      if (reconstructed->get(i) != reference_bit) {
+        ++out.stats.distance;
+        out.stats.weighted_ps += std::abs(reference_llr[i]);
+      }
+    }
+    out.responses[r] = *reconstructed;
+  }
+  if (out.stats.distance > emulator.max_call_distance() ||
+      out.stats.weighted_ps > emulator.max_weighted_distance()) {
+    return out;
+  }
+  out.z = obfuscation.obfuscate(out.responses);
+  return out;
+}
+
+bool same_double(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Bit-for-bit agreement of one fixed-width call with the oracle.
+::testing::AssertionResult same_call(const PufEmulator::Emulation& got,
+                                     const OracleCall& want,
+                                     std::size_t width) {
+  if (got.z.has_value() != want.z.has_value()) {
+    return ::testing::AssertionFailure() << "z presence differs";
+  }
+  if (got.z && BitVector(width, *got.z) != *want.z) {
+    return ::testing::AssertionFailure() << "z differs";
+  }
+  if (got.stats.distance != want.stats.distance) {
+    return ::testing::AssertionFailure()
+           << "distance " << got.stats.distance << " vs "
+           << want.stats.distance;
+  }
+  if (!same_double(got.stats.weighted_ps, want.stats.weighted_ps)) {
+    return ::testing::AssertionFailure()
+           << "weighted_ps " << got.stats.weighted_ps << " vs "
+           << want.stats.weighted_ps;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Runs `calls` PUF() calls through the fixed-width path and the oracle:
+/// honest helpers, helpers from a device overclocked 1.15-2x on
+/// carry-chain challenges (setup violations, so decoder miscorrections and
+/// over-budget calls), and
+/// random full 32-bit helper words (bits above helper_bits() set).
+void check_against_oracle(unsigned m, std::uint64_t chip_seed,
+                          std::size_t calls) {
+  const std::size_t width = std::size_t{1} << m;
+  const ecc::ReedMuller1 code(m);
+  const PufDevice device(small_config(width), chip_seed, code);
+  const PufEmulator emulator(width, device.export_model(), code);
+  const auto env = Environment::nominal();
+  // Cycle at 1.00x: the capture deadline sits at the worst-case settle.
+  const double base_cycle_ps = device.raw_puf().max_settle_ps(env) + 20.0;
+  const std::uint64_t mask =
+      width == 32 ? ~0ULL : (std::uint64_t{1} << (2 * width)) - 1;
+  Xoshiro256pp rng(chip_seed ^ 0xE4AC7);
+  std::size_t accepted = 0, over_budget = 0, miscorrected = 0;
+  for (std::size_t call = 0; call < calls; ++call) {
+    std::array<std::uint64_t, 8> words;
+    std::array<Challenge, 8> challenges;
+    for (std::size_t r = 0; r < 8; ++r) {
+      words[r] = rng.next() & mask;
+      if (call % 4 == 2) {
+        // b = ~a, as the SWAT program derives them: a long carry chain, so
+        // the overclocked capture deadline actually bites.
+        const std::uint64_t a = words[r] & (mask >> width);
+        words[r] = a | ((~a & (mask >> width)) << width);
+      }
+      challenges[r] = Challenge(2 * width, words[r]);
+    }
+    std::array<std::uint32_t, 8> helpers;
+    std::vector<RawResponse> raw;
+    if (call % 4 == 3) {
+      for (auto& h : helpers) h = static_cast<std::uint32_t>(rng.next());
+    } else {
+      const ClockConstraint clock{
+          base_cycle_ps / (1.15 + 0.85 * rng.uniform()), 20.0};
+      const ClockConstraint* c = call % 4 == 2 ? &clock : nullptr;
+      Xoshiro256pp copy = rng;
+      const auto out = device.query_raw(challenges, env, rng, c);
+      raw = device.raw_puf().eval_batch(challenges.data(), 8, env, copy, c);
+      for (std::size_t r = 0; r < 8; ++r) {
+        helpers[r] = static_cast<std::uint32_t>(out.helpers[r].to_u64());
+      }
+    }
+    const auto got = emulator.emulate_raw(words, helpers, env);
+    const auto want = oracle_emulate_raw(emulator, code, words, helpers);
+    ASSERT_TRUE(same_call(got, want, width)) << "width " << width
+                                             << " call " << call;
+    (got.z ? accepted : over_budget) += 1;
+    for (std::size_t r = 0; r < raw.size(); ++r) {
+      if (want.responses[r] != raw[r]) {
+        ++miscorrected;
+        break;
+      }
+    }
+  }
+  // The corpus reaches every branch the budgets and decoder can take.
+  EXPECT_GT(accepted, calls / 4) << "width " << width;
+  EXPECT_GT(over_budget, calls / 8) << "width " << width;
+  EXPECT_GT(miscorrected, calls / 16) << "width " << width;
+}
+
+TEST(PufEmulator, FixedWidthMatchesGenericOracle) {
+  check_against_oracle(5, 0x81, 20000);
+  check_against_oracle(4, 0x82, 20000);
+}
+
+TEST(PufEmulator, ReconstructMatchesOracleOnNearTies) {
+  // Hand-built LLRs the emulator rarely produces: signed zeros, denormals
+  // and equal-magnitude FWHT peaks, where the strict-> first-maximum
+  // tie-break, the `f[best] < 0.0` sign test and the `llr < 0.0`
+  // reference bit decide the outcome.
+  Xoshiro256pp rng(0x83);
+  for (const unsigned m : {4u, 5u}) {
+    const std::size_t n = std::size_t{1} << m;
+    const ecc::ReedMuller1 code(m);
+    const ecc::SyndromeHelper helper(code);
+    const AluPuf puf(small_config(n), 0x84);
+    const PufEmulator emulator(n, puf.export_model(), code);
+    const auto sign = [&](std::uint64_t message, std::size_t i) {
+      return code.encode(BitVector(m + 1, message)).get(i) ? -1.0 : 1.0;
+    };
+    std::vector<std::vector<double>> corpus;
+    corpus.emplace_back(n, 0.0);
+    corpus.emplace_back(n, -0.0);
+    for (std::uint64_t a = 0; a < 8; ++a) {
+      const std::uint64_t b = (a * 13 + 5) % (std::uint64_t{2} << m);
+      std::vector<double> tie(n), zeroed(n), tiny(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // Two codewords superposed: two FWHT peaks of equal magnitude.
+        tie[i] = sign(a, i) + sign(b, i);
+        // Mixed-sign zeros where the two disagree.
+        zeroed[i] = tie[i] == 0.0 ? (i % 3 == 0 ? -0.0 : 0.0) : tie[i];
+        tiny[i] = sign(a, i) * 4.9e-324;
+      }
+      corpus.push_back(tie);
+      corpus.push_back(zeroed);
+      corpus.push_back(tiny);
+      std::vector<double> negated = tie;
+      for (auto& v : negated) v = -v;
+      corpus.push_back(negated);
+    }
+    for (int k = 0; k < 64; ++k) {
+      static constexpr double kValues[] = {-1.0, -0.0, 0.0, 1.0, 4.9e-324,
+                                           -4.9e-324, 0.5, -0.5};
+      std::vector<double> pick(n);
+      for (auto& v : pick) v = kValues[rng.uniform_u64(8)];
+      corpus.push_back(pick);
+    }
+    for (const auto& llr : corpus) {
+      std::array<double, 32> fixed{};
+      std::copy(llr.begin(), llr.end(), fixed.begin());
+      for (const std::uint32_t h :
+           {0u, 0xFFFFFFFFu, static_cast<std::uint32_t>(rng.next())}) {
+        PufEmulator::CallStats got;
+        const std::uint32_t y = emulator.reconstruct(fixed, h, got);
+        const auto want =
+            helper.reproduce_soft(llr, BitVector(helper.helper_bits(), h));
+        ASSERT_TRUE(want.has_value());
+        EXPECT_EQ(BitVector(n, y), *want);
+        PufEmulator::CallStats expect;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (want->get(i) != (llr[i] < 0.0)) {
+            ++expect.distance;
+            expect.weighted_ps += std::abs(llr[i]);
+          }
+        }
+        EXPECT_EQ(got.distance, expect.distance);
+        EXPECT_TRUE(same_double(got.weighted_ps, expect.weighted_ps));
+      }
+    }
+  }
+}
+
+TEST(PufEmulator, SilentMiscorrectionIsPinned) {
+  // An honest call whose soft decoder snaps one response onto the wrong
+  // codeword while the call stays inside both distance budgets: the
+  // verifier accepts the call and recomputes a z the prover never
+  // produced, so the transcript fails later as a checksum mismatch, not a
+  // reconstruction rejection.  Found by scanning honest calls over dies
+  // 1-400 (5 such calls in 1.6M).
+  const ecc::ReedMuller1 code(5);
+  const PufDevice device(small_config(32), 68, code);
+  const PufEmulator emulator(32, device.export_model(), code);
+  const auto env = Environment::nominal();
+  Xoshiro256pp rng(68001840);
+  std::array<std::uint64_t, 8> words;
+  std::array<Challenge, 8> challenges;
+  for (std::size_t r = 0; r < 8; ++r) {
+    words[r] = rng.next();
+    challenges[r] = Challenge(64, words[r]);
+  }
+  Xoshiro256pp copy = rng;
+  const auto out = device.query_raw(challenges, env, rng);
+  const auto raw = device.raw_puf().eval_batch(challenges.data(), 8, env, copy);
+  std::array<std::uint32_t, 8> helpers;
+  for (std::size_t r = 0; r < 8; ++r) {
+    helpers[r] = static_cast<std::uint32_t>(out.helpers[r].to_u64());
+  }
+  const auto got = emulator.emulate_raw(words, helpers, env);
+  const auto want = oracle_emulate_raw(emulator, code, words, helpers);
+  EXPECT_TRUE(same_call(got, want, 32));
+  ASSERT_TRUE(got.z.has_value());
+  EXPECT_LE(got.stats.distance, emulator.max_call_distance());
+  EXPECT_LE(got.stats.weighted_ps, emulator.max_weighted_distance());
+  std::size_t wrong = 0;
+  for (std::size_t r = 0; r < 8; ++r) wrong += want.responses[r] != raw[r];
+  EXPECT_GE(wrong, 1u);
+  EXPECT_NE(BitVector(32, *got.z), out.z);
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  for (const std::uint64_t word :
+       {static_cast<std::uint64_t>(*got.z),
+        static_cast<std::uint64_t>(got.stats.distance),
+        std::bit_cast<std::uint64_t>(got.stats.weighted_ps)}) {
+    digest = (digest ^ word) * 0x100000001B3ULL;
+  }
+  EXPECT_EQ(digest, 0x2A4133D1B5773C9CULL) << std::hex << digest;
+}
+
+TEST(PufEmulator, ConcurrentEmulateAfterPrewarm) {
+  // The emulator keeps no per-call state: once prewarmed, four threads
+  // sharing one instance get exactly the serial results (and TSan sees no
+  // race) — the precondition for serving a device without a lease.
+  const ecc::ReedMuller1 code(5);
+  const PufDevice device(small_config(32), 0x85, code);
+  const PufEmulator emulator(32, device.export_model(), code);
+  const auto env = Environment::nominal();
+  emulator.raw_emulator().prewarm(env);
+  constexpr std::size_t kCalls = 500;
+  std::vector<std::array<std::uint64_t, 8>> words(kCalls);
+  std::vector<std::array<std::uint32_t, 8>> helpers(kCalls);
+  Xoshiro256pp rng(0x86);
+  for (std::size_t call = 0; call < kCalls; ++call) {
+    std::array<Challenge, 8> challenges;
+    for (std::size_t r = 0; r < 8; ++r) {
+      words[call][r] = rng.next();
+      challenges[r] = Challenge(64, words[call][r]);
+    }
+    const auto out = device.query_raw(challenges, env, rng);
+    for (std::size_t r = 0; r < 8; ++r) {
+      helpers[call][r] = static_cast<std::uint32_t>(out.helpers[r].to_u64());
+    }
+  }
+  const auto run = [&] {
+    std::vector<PufEmulator::Emulation> results;
+    results.reserve(kCalls);
+    for (std::size_t call = 0; call < kCalls; ++call) {
+      results.push_back(emulator.emulate_raw(words[call], helpers[call], env));
+    }
+    return results;
+  };
+  const auto serial = run();
+  std::array<std::vector<PufEmulator::Emulation>, 4> parallel;
+  std::vector<std::thread> threads;
+  for (auto& result : parallel) {
+    threads.emplace_back([&run, &result] { result = run(); });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& result : parallel) {
+    ASSERT_EQ(result.size(), kCalls);
+    for (std::size_t call = 0; call < kCalls; ++call) {
+      EXPECT_EQ(result[call].z, serial[call].z) << "call " << call;
+      EXPECT_EQ(result[call].stats.distance, serial[call].stats.distance);
+      EXPECT_TRUE(same_double(result[call].stats.weighted_ps,
+                              serial[call].stats.weighted_ps));
+    }
+  }
+}
+
+TEST(PufEmulator, ThreadScratchSurvivesEmulatorTurnover) {
+  // The per-thread bit-slice scratch outlives the emulators it serves.
+  // An emulator-cache churn — destroy one, build the next, very likely at
+  // the same addresses — must not replay the previous die's baked plan.
+  const ecc::ReedMuller1 code(5);
+  Xoshiro256pp rng(0x87);
+  for (std::uint64_t chip = 0; chip < 12; ++chip) {
+    const PufDevice device(small_config(32), 0x88 + chip, code);
+    auto emulator =
+        std::make_unique<PufEmulator>(32, device.export_model(), code);
+    std::array<std::uint64_t, 8> words;
+    std::array<std::uint32_t, 8> helpers;
+    for (auto& w : words) w = rng.next();
+    for (auto& h : helpers) h = static_cast<std::uint32_t>(rng.next());
+    EXPECT_TRUE(same_call(emulator->emulate_raw(words, helpers),
+                          oracle_emulate_raw(*emulator, code, words, helpers),
+                          32))
+        << "chip " << chip;
+  }
+}
+
+TEST(Obfuscation, WordFormMatchesBitVectorForm) {
+  Xoshiro256pp rng(0x89);
+  for (const std::size_t two_n : {8u, 12u, 16u, 30u, 32u}) {
+    for (const auto pairing : {ObfuscationNetwork::Pairing::kPaper,
+                               ObfuscationNetwork::Pairing::kHardened}) {
+      const ObfuscationNetwork net(two_n, pairing);
+      for (int trial = 0; trial < 200; ++trial) {
+        std::array<BitVector, 8> y;
+        std::array<std::uint32_t, 8> words;
+        for (std::size_t r = 0; r < 8; ++r) {
+          // High bits above the response width must be ignored.
+          words[r] = static_cast<std::uint32_t>(rng.next());
+          y[r] = BitVector(two_n, words[r]);
+        }
+        EXPECT_EQ(BitVector(two_n, net.obfuscate_words(words)),
+                  net.obfuscate(y));
+      }
+    }
+  }
+  EXPECT_THROW(ObfuscationNetwork(34).obfuscate_words({}), std::logic_error);
 }
 
 // -------------------------------------------------------------- ArbiterPuf

@@ -11,8 +11,9 @@
 # obs_overhead_smoke, net_throughput_smoke, attack_matrix_quick), the
 # overclocking gate (honest accepted at 1.00x/1.05x, rejected from 1.15x,
 # redirect malware never accepted — the prover's clock-constraint path) and
-# the modeling_attack_demo example (best obfuscated-bit LR model < 0.6,
-# genuine die accepted 3/3, clone 0/3), so the stable-schema BENCH_*.json
+# the modeling_attack_demo example (best obfuscated-bit LR attacker
+# advantage max(a, 1-a) < 0.6, genuine die accepted 3/3, clone 0/3), so
+# the stable-schema BENCH_*.json
 # writers and the tracing overhead gates are exercised under each sanitizer
 # too.  attack_matrix_quick runs the whole
 # adversary-lab roster (bench/attack_matrix --quick) with shrunk budgets
@@ -26,8 +27,11 @@
 # cross-thread seams — event-loop wakeups, pool-completion posts back onto
 # the loop thread, server/loadgen counter handoff (tests/net_test.cpp) —
 # the shard workers' concurrent use of one prewarmed device through
-# the bit-sliced and scalar eval paths, and eval_batch's thread_local
-# fallback scratch (AluPuf.NullScratchIsPerThread).
+# the bit-sliced and scalar eval paths, eval_batch's thread_local
+# fallback scratch (AluPuf.NullScratchIsPerThread), and four threads
+# sharing one prewarmed, stateless verifier emulator
+# (PufEmulator.ConcurrentEmulateAfterPrewarm) — the precondition for
+# serving a device's verdicts without an emulator-cache lease.
 #
 # The plain (and sanitizer) trees also run the cross-process tracing
 # fixture trace_merge_pipeline: traced serve + traced loadgen as two OS
