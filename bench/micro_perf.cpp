@@ -15,6 +15,7 @@
 
 #include "adversary/logreg.hpp"
 #include "alupuf/pipeline.hpp"
+#include "core/crp_database.hpp"
 #include "core/distributed.hpp"
 #include "core/enrollment.hpp"
 #include "core/protocol.hpp"
@@ -432,6 +433,38 @@ void BM_AluPufEvalBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_AluPufEvalBatch);
+
+void BM_CrpCollect(benchmark::State& state) {
+  const alupuf::AluPuf puf(puf32(), 1);
+  puf.prewarm(variation::Environment::nominal());
+  support::Xoshiro256pp rng(16);
+  const std::size_t entries = 64;  // one verdictbench store_crp database
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::CrpDatabase::collect(puf, entries, rng));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(entries));
+}
+BENCHMARK(BM_CrpCollect);
+
+void BM_CrpAuthenticate(benchmark::State& state) {
+  const alupuf::AluPuf puf(puf32(), 1);
+  puf.prewarm(variation::Environment::nominal());
+  support::Xoshiro256pp rng(17);
+  const std::size_t entries = 64;
+  auto db = core::CrpDatabase::collect(puf, entries, rng);
+  for (auto _ : state) {
+    // One entry per iteration, so a 64-entry database lasts 64 iterations;
+    // re-collecting is excluded from the timing.
+    if (db.remaining() == 0) {
+      state.PauseTiming();
+      db = core::CrpDatabase::collect(puf, entries, rng);
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(db.authenticate(puf, rng));
+  }
+}
+BENCHMARK(BM_CrpAuthenticate);
 
 void BM_EmulatorEvalSoftBatch(benchmark::State& state) {
   const alupuf::AluPuf puf(puf32(), 1);

@@ -54,11 +54,7 @@ support::BitVector read_bits(std::istream& in) {
   for (std::size_t w = 0; w < words; ++w) {
     const std::uint64_t lo = read_u32(in);
     const std::uint64_t hi = read_u32(in);
-    const std::uint64_t word = lo | (hi << 32);
-    for (std::size_t b = 0; b < 64; ++b) {
-      const std::size_t i = 64 * w + b;
-      if (i < bits) v.set(i, (word >> b) & 1);
-    }
+    v.set_word(w, lo | (hi << 32));  // masks bits past `bits`
   }
   return v;
 }
@@ -74,11 +70,13 @@ CrpDatabase CrpDatabase::collect(const alupuf::AluPuf& device,
   const auto env = variation::Environment::nominal();
   for (std::size_t i = 0; i < count; ++i) {
     Entry entry;
+    entry.challenges.reserve(challenges_per_entry);
     for (std::size_t c = 0; c < challenges_per_entry; ++c) {
       entry.challenges.push_back(
           support::BitVector::random(device.challenge_bits(), rng));
-      entry.references.push_back(device.eval(entry.challenges.back(), env, rng));
     }
+    entry.references = device.eval_batch(entry.challenges.data(),
+                                         challenges_per_entry, env, rng);
     db.entries_.push_back(std::move(entry));
   }
   return db;
@@ -87,17 +85,31 @@ CrpDatabase CrpDatabase::collect(const alupuf::AluPuf& device,
 CrpDatabase::AuthResult CrpDatabase::authenticate(
     const alupuf::AluPuf& device, support::Xoshiro256pp& rng,
     double threshold_fraction, const variation::Environment& env) {
-  AuthResult result;
-  if (next_unused_ >= entries_.size()) {
+  const auto index = claim();
+  if (!index) {
+    AuthResult result;
     result.exhausted = true;
     return result;
   }
-  Entry& entry = entries_[next_unused_++];
-  entry.used = true;  // single-use: consumed even on failure (anti-replay)
-  for (std::size_t c = 0; c < entry.challenges.size(); ++c) {
-    const auto response = device.eval(entry.challenges[c], env, rng);
-    result.distance += response.hamming_distance(entry.references[c]);
-    result.compared_bits += response.size();
+  return judge(*index, device, rng, threshold_fraction, env);
+}
+
+std::optional<std::size_t> CrpDatabase::claim() {
+  if (next_unused_ >= entries_.size()) return std::nullopt;
+  return next_unused_++;
+}
+
+CrpDatabase::AuthResult CrpDatabase::judge(
+    std::size_t index, const alupuf::AluPuf& device,
+    support::Xoshiro256pp& rng, double threshold_fraction,
+    const variation::Environment& env) const {
+  const Entry& entry = entries_.at(index);
+  const auto responses = device.eval_batch(entry.challenges.data(),
+                                           entry.challenges.size(), env, rng);
+  AuthResult result;
+  for (std::size_t c = 0; c < responses.size(); ++c) {
+    result.distance += responses[c].hamming_distance(entry.references[c]);
+    result.compared_bits += responses[c].size();
   }
   result.accepted =
       static_cast<double>(result.distance) <=
@@ -109,7 +121,6 @@ void CrpDatabase::mark_consumed_through(std::size_t index) {
   if (index >= entries_.size()) {
     throw std::out_of_range("CrpDatabase: consume marker past the last entry");
   }
-  for (std::size_t i = next_unused_; i <= index; ++i) entries_[i].used = true;
   next_unused_ = std::max(next_unused_, index + 1);
 }
 
@@ -158,7 +169,6 @@ CrpDatabase CrpDatabase::load(std::istream& in) {
     }
   }
   db.next_unused_ = cursor;
-  for (std::size_t i = 0; i < cursor; ++i) db.entries_[i].used = true;
   return db;
 }
 

@@ -41,14 +41,18 @@ CrpLedger::CrpLedger(WalWriter* wal, Options options)
 
 void CrpLedger::enroll(const std::string& device_id, core::CrpDatabase db) {
   // Log-before-apply: the enrollment is in the WAL buffer before the
-  // in-memory map ever serves it.
-  if (wal_ != nullptr) {
-    wal_->append(kCrpEnroll, encode_crp_enroll(device_id, db));
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
+  // in-memory map ever serves it.  The append happens under the lock that
+  // consume markers are appended under, so WAL order is apply order: an
+  // unlocked append could land before the marker of a concurrent consume
+  // of the database it replaces, and replay would charge that consume to
+  // the new database.
+  std::string record;
+  if (wal_ != nullptr) record = encode_crp_enroll(device_id, db);
   Slot slot;
-  slot.db = std::move(db);
-  slot.low_notified = slot.db.remaining() <= options_.low_watermark;
+  slot.db = std::make_shared<core::CrpDatabase>(std::move(db));
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (wal_ != nullptr) wal_->append(kCrpEnroll, record);
+  slot.low_notified = slot.db->remaining() <= options_.low_watermark;
   slots_.insert_or_assign(device_id, std::move(slot));
 }
 
@@ -61,7 +65,7 @@ std::optional<CrpLedger::LowWatermark> CrpLedger::check_watermark_locked(
     const std::string& device_id) {
   auto it = slots_.find(device_id);
   if (it == slots_.end()) return std::nullopt;
-  const std::size_t remaining = it->second.db.remaining();
+  const std::size_t remaining = it->second.db->remaining();
   if (remaining > options_.low_watermark) {
     it->second.low_notified = false;  // replenished: re-arm
     return std::nullopt;
@@ -76,22 +80,23 @@ std::optional<core::CrpDatabase::AuthResult> CrpLedger::authenticate(
     support::Xoshiro256pp& rng, double threshold_fraction,
     const variation::Environment& env,
     std::optional<LowWatermark>* low_out) {
-  std::optional<core::CrpDatabase::AuthResult> result;
+  std::shared_ptr<const core::CrpDatabase> db;
+  std::optional<std::size_t> index;
   std::optional<LowWatermark> low;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = slots_.find(device_id);
     if (it == slots_.end()) return std::nullopt;
-    // The entry authenticate() will spend is the one at the cursor; record
-    // its index before the call so the marker names exactly that entry.
-    const std::size_t spent_index = it->second.db.consumed();
-    result = it->second.db.authenticate(device, rng, threshold_fraction, env);
-    if (result->conclusive() && wal_ != nullptr) {
-      // Marker before the result escapes this function: an accepted
-      // verdict is never observable without its consumption logged.
-      wal_->append(kCrpConsume, encode_crp_consume(device_id, spent_index));
+    index = it->second.db->claim();
+    if (index) {
+      // Marker before any evaluation: the entry is spent in memory and in
+      // the WAL buffer together, whatever the judgement below does.
+      if (wal_ != nullptr) {
+        wal_->append(kCrpConsume, encode_crp_consume(device_id, *index));
+      }
+      low = check_watermark_locked(device_id);
+      db = it->second.db;  // keeps the entry alive across a re-enroll
     }
-    if (result->conclusive()) low = check_watermark_locked(device_id);
   }
   if (low_out != nullptr) {
     // The caller holds an outer lock of its own (the VerifierStore
@@ -103,7 +108,12 @@ std::optional<core::CrpDatabase::AuthResult> CrpLedger::authenticate(
     // Outside the ledger lock: the hook may re-enter enroll() directly.
     options_.on_low(low->device_id, low->remaining);
   }
-  return result;
+  if (!index) {
+    core::CrpDatabase::AuthResult exhausted;
+    exhausted.exhausted = true;
+    return exhausted;
+  }
+  return db->judge(*index, device, rng, threshold_fraction, env);
 }
 
 std::optional<std::size_t> CrpLedger::remaining(
@@ -111,7 +121,7 @@ std::optional<std::size_t> CrpLedger::remaining(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = slots_.find(device_id);
   if (it == slots_.end()) return std::nullopt;
-  return it->second.db.remaining();
+  return it->second.db->remaining();
 }
 
 bool CrpLedger::contains(const std::string& device_id) const {
@@ -127,7 +137,7 @@ std::size_t CrpLedger::device_count() const {
 std::size_t CrpLedger::total_remaining() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t total = 0;
-  for (const auto& [id, slot] : slots_) total += slot.db.remaining();
+  for (const auto& [id, slot] : slots_) total += slot.db->remaining();
   return total;
 }
 
@@ -143,8 +153,8 @@ void CrpLedger::replay_enroll(const std::string& device_id,
                               core::CrpDatabase db) {
   std::lock_guard<std::mutex> lock(mutex_);
   Slot slot;
-  slot.db = std::move(db);
-  slot.low_notified = slot.db.remaining() <= options_.low_watermark;
+  slot.db = std::make_shared<core::CrpDatabase>(std::move(db));
+  slot.low_notified = slot.db->remaining() <= options_.low_watermark;
   slots_.insert_or_assign(device_id, std::move(slot));
 }
 
@@ -162,12 +172,12 @@ void CrpLedger::replay_consume(const std::string& device_id,
                      device_id);
   }
   try {
-    it->second.db.mark_consumed_through(static_cast<std::size_t>(entry_index));
+    it->second.db->mark_consumed_through(static_cast<std::size_t>(entry_index));
   } catch (const std::out_of_range&) {
     throw StoreError("WAL consume marker past the database for " + device_id);
   }
   it->second.low_notified =
-      it->second.db.remaining() <= options_.low_watermark;
+      it->second.db->remaining() <= options_.low_watermark;
 }
 
 void CrpLedger::save(std::ostream& out) const {
@@ -178,7 +188,7 @@ void CrpLedger::save(std::ostream& out) const {
   for (const auto& [id, slot] : slots_) {  // sorted: byte-stable
     write_u32(out, static_cast<std::uint32_t>(id.size()));
     out.write(id.data(), static_cast<std::streamsize>(id.size()));
-    slot.db.save(out);
+    slot.db->save(out);
   }
   if (!out) throw StoreError("CRP ledger write failed");
 }

@@ -9,6 +9,17 @@
 // after recovery, remaining() picks up exactly where the crashed process
 // left off and spent entries stay spent.
 //
+// Evaluation runs outside the ledger lock.  Under the lock, authenticate()
+// only claims the entry (CrpDatabase::claim), appends its kCrpConsume
+// marker and checks the watermark; the PUF evaluation (CrpDatabase::judge)
+// then runs unlocked, so concurrent authentications of different devices
+// — or of one device — evaluate in parallel.  The marker therefore comes
+// first: the entry is spent in memory and in the WAL buffer before any
+// result exists, and a judgement that throws (a device of another width)
+// still leaves the two in agreement.  Each slot holds its database through
+// a shared_ptr, and the judgement runs on a copy of it, so an enroll()
+// that replaces the database mid-judgement cannot free the entry under it.
+//
 // Markers carry the *absolute* entry index, so replay is idempotent
 // (mark_consumed_through is a max-advance): recovering from a snapshot
 // that already folded some markers, then replaying the full WAL tail,
@@ -35,6 +46,7 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -85,16 +97,20 @@ class CrpLedger {
   /// WAL record is the registry's, so this logs nothing.  No-op when absent.
   bool erase(const std::string& device_id);
 
-  /// Authenticates against the device's database, logging the consume
-  /// marker before returning, so an accepted result is never observable
-  /// without its consumption being (at least) in the WAL buffer.
-  /// nullopt when the device has no database.
+  /// Authenticates against the device's database.  The consume marker is
+  /// logged before the evaluation starts, so a result is never observable
+  /// without its consumption being (at least) in the WAL buffer; the
+  /// evaluation itself runs outside the ledger lock (see the header
+  /// comment).  nullopt when the device has no database.  Exceptions from
+  /// the evaluation propagate with the entry already spent and logged.
+  /// `device` must be prewarmed at `env` when other threads may evaluate
+  /// it concurrently (AluPuf::prewarm).
   ///
   /// When `low_out` is null and this consume crosses the depletion
-  /// watermark, on_low fires inline (outside the ledger lock) before
-  /// returning.  When `low_out` is non-null the hook is NOT invoked;
-  /// the pending notification is stored there instead and the caller must
-  /// fire it after releasing any outer lock of its own.
+  /// watermark, on_low fires inline (outside the ledger lock) before the
+  /// evaluation.  When `low_out` is non-null the hook is NOT invoked; the
+  /// pending notification is stored there, also before the evaluation, and
+  /// the caller must fire it after releasing any outer lock of its own.
   std::optional<core::CrpDatabase::AuthResult> authenticate(
       const std::string& device_id, const alupuf::AluPuf& device,
       support::Xoshiro256pp& rng, double threshold_fraction = 0.22,
@@ -132,7 +148,8 @@ class CrpLedger {
       const std::string& device_id);
 
   struct Slot {
-    core::CrpDatabase db;
+    /// Shared with in-flight judgements (see the header comment).
+    std::shared_ptr<core::CrpDatabase> db;
     bool low_notified = false;  ///< one on_low per depletion episode
   };
 

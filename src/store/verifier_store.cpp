@@ -1,6 +1,7 @@
 #include "store/verifier_store.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <mutex>
 #include <utility>
 
@@ -95,11 +96,19 @@ std::optional<core::CrpDatabase::AuthResult> VerifierStore::authenticate_crp(
     const variation::Environment& env) {
   std::optional<core::CrpDatabase::AuthResult> result;
   std::optional<CrpLedger::LowWatermark> low;
+  std::exception_ptr error;
   {
     std::shared_lock<std::shared_mutex> lock(state_mutex_);
     crp_auths_.add();
-    result = ledger_->authenticate(device_id, device, rng, threshold_fraction,
-                                   env, &low);
+    try {
+      result = ledger_->authenticate(device_id, device, rng,
+                                     threshold_fraction, env, &low);
+    } catch (...) {
+      // The ledger hands `low` over before it evaluates, so a judgement
+      // that throws has still spent (and logged) its entry, and the
+      // depletion that consume caused is still reported below.
+      error = std::current_exception();
+    }
   }
   // The replenish hook fires only after the shared lock is released: it
   // may call straight back into enroll_crps() (an exclusive locker on the
@@ -107,6 +116,7 @@ std::optional<core::CrpDatabase::AuthResult> VerifierStore::authenticate_crp(
   if (low && options_.crp.on_low) {
     options_.crp.on_low(low->device_id, low->remaining);
   }
+  if (error) std::rethrow_exception(error);
   return result;
 }
 

@@ -16,11 +16,12 @@
 // barrier (register sync() as PoolConfig.on_drain, so a drained pool
 // implies every consume marker its jobs produced is on disk).
 //
-// Concurrency: CRP authentication (the hot path) runs under the ledger's
-// own lock and takes only a shared state lock here; enrollment, eviction
-// and compaction are exclusive — which both keeps WAL order identical to
-// apply order for registry mutations and guarantees compact() snapshots a
-// state at least as new as every record it deletes.
+// Concurrency: CRP authentication (the hot path) claims its entry under
+// the ledger's own lock, evaluates outside it, and takes only a shared
+// state lock here; enrollment, eviction and compaction are exclusive —
+// which both keeps WAL order identical to apply order for registry
+// mutations and guarantees compact() snapshots a state at least as new as
+// every record it deletes.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +78,10 @@ class VerifierStore {
   /// nullopt when the device has no database.  A depletion-watermark
   /// crossing fires StoreOptions.crp.on_low on this thread *after* the
   /// store's shared lock is released, so the hook may replenish by
-  /// calling straight back into enroll_crps().
+  /// calling straight back into enroll_crps().  The PUF evaluation runs
+  /// under the store's shared lock but outside the ledger's, so
+  /// authentications evaluate in parallel; an evaluation that throws
+  /// still spends and logs its entry, and the hook still fires.
   std::optional<core::CrpDatabase::AuthResult> authenticate_crp(
       const std::string& device_id, const alupuf::AluPuf& device,
       support::Xoshiro256pp& rng, double threshold_fraction = 0.22,

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+
 #include "core/channel.hpp"
 #include "cpu/assembler.hpp"
 #include "core/crp_database.hpp"
@@ -375,6 +378,98 @@ TEST(CrpDatabaseTest, EveryAttemptConsumesExactlyOneEntry) {
     const auto result = db.authenticate(bed.device.raw_puf(), rng);
     EXPECT_TRUE(result.exhausted);
     EXPECT_EQ(db.remaining(), 0u);
+  }
+}
+
+// collect() and authenticate() evaluate through one eval_batch per entry,
+// which is not stream-identical to scalar AluPuf::eval but must follow its
+// distribution.  Pins the two rates the 22% threshold separates — the
+// genuine die's intra-chip HD (~12% here) and a clone's inter-chip HD
+// (~30% for this die pair) — to the scalar rates over the same number of
+// random challenges, within 4 binomial standard errors of the difference
+// (over 24 other seed sets the largest |z| was 2.6).
+TEST(CrpDatabaseTest, BatchedDistancesMatchScalar) {
+  Testbed bed;
+  const auto& genuine = bed.device.raw_puf();
+  const alupuf::AluPuf clone(bed.profile.puf_config, 987654);
+  const auto env = variation::Environment::nominal();
+  constexpr std::size_t kEntries = 400;
+  constexpr std::size_t kPerEntry = 8;
+
+  struct Rate {
+    double hd = 0.0, bits = 0.0;
+    double p() const { return hd / bits; }
+    double var() const { return p() * (1.0 - p()) / bits; }
+  };
+  auto batched = [&](const alupuf::AluPuf& device, std::uint64_t seed) {
+    Xoshiro256pp rng(seed);
+    auto db = CrpDatabase::collect(genuine, kEntries, rng, kPerEntry);
+    Rate rate;
+    for (std::size_t i = 0; i < kEntries; ++i) {
+      const auto result = db.authenticate(device, rng);
+      rate.hd += static_cast<double>(result.distance);
+      rate.bits += static_cast<double>(result.compared_bits);
+    }
+    return rate;
+  };
+  auto scalar = [&](const alupuf::AluPuf& device, std::uint64_t seed) {
+    Xoshiro256pp rng(seed);
+    Rate rate;
+    for (std::size_t c = 0; c < kEntries * kPerEntry; ++c) {
+      const auto challenge = BitVector::random(genuine.challenge_bits(), rng);
+      const auto reference = genuine.eval(challenge, env, rng);
+      const auto response = device.eval(challenge, env, rng);
+      rate.hd += static_cast<double>(response.hamming_distance(reference));
+      rate.bits += static_cast<double>(response.size());
+    }
+    return rate;
+  };
+
+  const Rate genuine_batched = batched(genuine, 60);
+  const Rate genuine_scalar = scalar(genuine, 61);
+  const Rate clone_batched = batched(clone, 62);
+  const Rate clone_scalar = scalar(clone, 63);
+  EXPECT_NEAR(genuine_batched.p(), genuine_scalar.p(),
+              4.0 * std::sqrt(genuine_batched.var() + genuine_scalar.var()));
+  EXPECT_NEAR(clone_batched.p(), clone_scalar.p(),
+              4.0 * std::sqrt(clone_batched.var() + clone_scalar.var()));
+  // And both sit on their side of the default threshold.
+  EXPECT_LT(genuine_batched.p(), 0.22);
+  EXPECT_GT(clone_batched.p(), 0.22);
+}
+
+// The eval_batch RNG contract at the database level: collect() spends the
+// entry's challenge words plus one batch seed per entry, authenticate()
+// spends exactly one rng.next() (an exhausted one none), and equal rng
+// states give byte-equal databases and equal verdicts.
+TEST(CrpDatabaseTest, OneBatchSeedPerEntry) {
+  Testbed bed;
+  const auto& puf = bed.device.raw_puf();
+  constexpr std::size_t kEntries = 5;
+  constexpr std::size_t kPerEntry = 8;
+  Xoshiro256pp rng_a(70), rng_b(70), expected(70);
+  auto db_a = CrpDatabase::collect(puf, kEntries, rng_a, kPerEntry);
+  auto db_b = CrpDatabase::collect(puf, kEntries, rng_b, kPerEntry);
+  // A 64-bit challenge is one word: kPerEntry challenge draws + 1 seed.
+  for (std::size_t i = 0; i < kEntries * (kPerEntry + 1); ++i) expected.next();
+  EXPECT_EQ(Xoshiro256pp(rng_a).next(), Xoshiro256pp(expected).next());
+
+  std::stringstream bytes_a, bytes_b;
+  db_a.save(bytes_a);
+  db_b.save(bytes_b);
+  EXPECT_EQ(bytes_a.str(), bytes_b.str());
+
+  for (std::size_t i = 0; i <= kEntries; ++i) {
+    Xoshiro256pp after = rng_a;
+    if (i < kEntries) after.next();
+    const auto a = db_a.authenticate(puf, rng_a);
+    const auto b = db_b.authenticate(puf, rng_b);
+    EXPECT_EQ(a.exhausted, i == kEntries);
+    EXPECT_EQ(a.exhausted, b.exhausted);
+    EXPECT_EQ(a.accepted, b.accepted);
+    EXPECT_EQ(a.distance, b.distance);
+    EXPECT_EQ(a.compared_bits, b.compared_bits);
+    EXPECT_EQ(Xoshiro256pp(rng_a).next(), Xoshiro256pp(after).next());
   }
 }
 

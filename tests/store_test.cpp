@@ -475,6 +475,135 @@ TEST(CrpLedger, LogsConsumptionAndFiresWatermarkOnce) {
   EXPECT_EQ(consumes, 5u);
 }
 
+// The consume marker precedes the evaluation: a judgement that throws (a
+// device of another width) has spent its entry in memory, so the WAL must
+// say so too, or recovery would serve the entry again.
+TEST(CrpLedger, ThrowingEvaluationStillLogsConsume) {
+  const auto& fleet = Fleet::instance();
+  const std::string dir = fresh_dir("ledger_throwing_eval");
+  const std::string id = fleet.devices[0].id;
+  alupuf::AluPufConfig narrow_config;
+  narrow_config.width = 16;
+  const alupuf::AluPuf narrow(narrow_config, 0x16);
+
+  std::size_t live_remaining = 0;
+  std::vector<std::size_t> low_calls;
+  {
+    WalWriter wal(dir);
+    CrpLedger::Options options;
+    options.low_watermark = 2;
+    options.on_low = [&](const std::string&, std::size_t remaining) {
+      low_calls.push_back(remaining);
+    };
+    CrpLedger ledger(&wal, options);
+    ledger.enroll(id, fleet.collect(0, 4, 0x7A01));
+    Xoshiro256pp rng(0x7A);
+    ASSERT_TRUE(ledger.authenticate(id, fleet.devices[0].device->raw_puf(), rng)
+                    .has_value());
+    EXPECT_THROW(ledger.authenticate(id, narrow, rng), std::invalid_argument);
+    live_remaining = *ledger.remaining(id);
+    EXPECT_EQ(live_remaining, 2u);
+    // The throwing consume crossed the watermark: the hook still fired.
+    EXPECT_EQ(low_calls, std::vector<std::size_t>{2});
+    wal.sync();
+  }
+  const auto state = recover(dir);
+  EXPECT_EQ(state.ledger->remaining(id), live_remaining);
+}
+
+// Same through the facade: the hook fires after the store's lock is
+// released even when the evaluation throws, and a reopen agrees.
+TEST(VerifierStore, ThrowingCrpEvaluationStillFiresHook) {
+  const auto& fleet = Fleet::instance();
+  const std::string dir = fresh_dir("store_throwing_eval");
+  const std::string id = fleet.devices[0].id;
+  alupuf::AluPufConfig narrow_config;
+  narrow_config.width = 16;
+  const alupuf::AluPuf narrow(narrow_config, 0x16);
+  int fired = 0;
+  StoreOptions options;
+  options.crp.low_watermark = 2;
+  options.crp.on_low = [&](const std::string&, std::size_t) { ++fired; };
+  {
+    auto db = VerifierStore::open(dir, options);
+    db->enroll_crps(id, fleet.collect(0, 3, 0x7A02));
+    Xoshiro256pp rng(0x7B);
+    EXPECT_THROW(db->authenticate_crp(id, narrow, rng), std::invalid_argument);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(db->crp_remaining(id), std::size_t{2});
+    db->sync();
+  }
+  auto reopened = VerifierStore::open(dir);
+  EXPECT_EQ(reopened->crp_remaining(id), std::size_t{2});
+}
+
+// Evaluation runs outside the ledger lock while on_low re-enrolls the
+// databases under it.  Claims stay serialized: within each database
+// generation the WAL's consume markers name indices 0, 1, 2, ... with no
+// index twice, the markers match the conclusive results one for one, and
+// replaying the WAL reproduces the live ledger byte for byte.
+TEST(CrpLedger, ConcurrentAuthenticateWhileReplenishing) {
+  const auto& fleet = Fleet::instance();
+  const std::string dir = fresh_dir("ledger_concurrent");
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kAuthsPerThread = 60;
+  constexpr std::size_t kEntries = 6;
+  for (const auto& device : fleet.devices) {
+    device.device->raw_puf().prewarm(variation::Environment::nominal());
+  }
+
+  WalWriter wal(dir);
+  CrpLedger* live = nullptr;
+  std::atomic<std::uint64_t> episodes{0};
+  CrpLedger::Options options;
+  options.low_watermark = 2;
+  options.on_low = [&](const std::string& id, std::size_t) {
+    const std::size_t d = std::stoul(id.substr(id.find('-') + 1));
+    live->enroll(id, fleet.collect(d, kEntries, 0xC0C0 + ++episodes));
+  };
+  CrpLedger ledger(&wal, options);
+  live = &ledger;
+  for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
+    ledger.enroll(fleet.devices[d].id, fleet.collect(d, kEntries, 0xC000 + d));
+  }
+
+  std::atomic<std::size_t> conclusive{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256pp rng(0xC1 + t);
+      for (std::size_t k = 0; k < kAuthsPerThread; ++k) {
+        const auto& device = fleet.devices[rng.next() % fleet.devices.size()];
+        const auto result =
+            ledger.authenticate(device.id, device.device->raw_puf(), rng);
+        if (result && result->conclusive()) ++conclusive;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_GT(episodes.load(), 0u);
+  wal.sync();
+
+  std::map<std::string, std::uint64_t> next_index;  // per current generation
+  std::size_t consumes = 0;
+  for (const auto& record : read_wal(dir).records) {
+    if (record.type == kCrpEnroll) {
+      next_index[decode_crp_enroll(record).device_id] = 0;
+    } else if (record.type == kCrpConsume) {
+      const auto consume = decode_crp_consume(record);
+      EXPECT_EQ(consume.entry_index, next_index[consume.device_id]++);
+      ++consumes;
+    }
+  }
+  EXPECT_EQ(consumes, conclusive.load());
+
+  std::stringstream live_bytes(std::ios::in | std::ios::out | std::ios::binary);
+  ledger.save(live_bytes);
+  std::stringstream replayed(std::ios::in | std::ios::out | std::ios::binary);
+  recover(dir).ledger->save(replayed);
+  EXPECT_EQ(live_bytes.str(), replayed.str());
+}
+
 // --- VerifierStore: the kill-and-recover acceptance test --------------------
 
 TEST(VerifierStore, KillAndRecover) {

@@ -31,7 +31,10 @@
 # fallback scratch (AluPuf.NullScratchIsPerThread), and four threads
 # sharing one prewarmed, stateless verifier emulator
 # (PufEmulator.ConcurrentEmulateAfterPrewarm) — the precondition for
-# serving a device's verdicts without an emulator-cache lease.
+# serving a device's verdicts without an emulator-cache lease — and four
+# threads judging CRP entries outside the ledger lock while the on_low
+# hook re-enrolls the databases under them
+# (CrpLedger.ConcurrentAuthenticateWhileReplenishing).
 #
 # The plain (and sanitizer) trees also run the cross-process tracing
 # fixture trace_merge_pipeline: traced serve + traced loadgen as two OS
